@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,33 +27,34 @@ import numpy as np
 from .data import (
     DatasetFormatError,
     MultiViewDataset,
+    NormalizationScheme,
     SynthSpec,
     generate_synthetic,
     load_dataset,
     normalize,
+    parse_labels_csv,
     save_dataset,
 )
 from .graph_ops import laplacian
 from .metrics import MetricReport, compute_metrics
-from .solver import SolverConfig, solve
+from .solver import ABLATION_MODES, LABEL_SOURCES, SolverConfig, solve
 from .spectral import ncut_baseline
 
 ENV_PREFIX = "MVSC_"
 
-# spec'd CLI tokens for the ablation modes, plus the canonical names
-_ABLATION_TOKENS = {
-    "full": "full",
-    "eq7": "uniform_weights",
-    "eq6": "no_spectral_norm",
-    "uniform_weights": "uniform_weights",
-    "no_spectral_norm": "no_spectral_norm",
-}
+# spec'd CLI tokens for two of the ablation modes
+_ABLATION_ALIASES = {"eq7": "uniform_weights", "eq6": "no_spectral_norm"}
 
-_SOLVER_KEYS = (
-    "lambda1", "lambda2", "lambda3", "mu0", "rho", "mu_max",
-    "max_iter", "tol", "k_init", "clusters", "ablation",
-    "labels_from", "normalize", "seed",
-)
+# the regularization weights, which `sweep` takes as comma-separated grids
+_GRID_FIELDS = tuple(f.name for f in fields(SolverConfig) if f.name.startswith("lambda"))
+
+
+def _dest(field_name: str) -> str:
+    """Flag, environment and config-file name of a SolverConfig field."""
+    return "clusters" if field_name == "n_clusters" else field_name
+
+
+_SOLVER_KEYS = frozenset(_dest(f.name) for f in fields(SolverConfig)) | {"labels_from", "normalize"}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -150,40 +152,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solver_config_from_args(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        n_clusters=args.clusters,
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        lambda3=args.lambda3,
-        mu0=args.mu0,
-        rho=args.rho,
-        mu_max=args.mu_max,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        k_init=args.k_init,
-        ablation=_ABLATION_TOKENS[args.ablation],
-        seed=args.seed,
-    )
+def _solver_config_from_args(args: argparse.Namespace, **overrides) -> SolverConfig:
+    values = {f.name: getattr(args, _dest(f.name)) for f in fields(SolverConfig)}
+    values["ablation"] = _ABLATION_ALIASES.get(values["ablation"], values["ablation"])
+    values.update(overrides)
+    return SolverConfig(**values)
 
 
-def _config_echo(config: SolverConfig, labels_from: str, normalize_scheme: str) -> dict:
-    return {
-        "n_clusters": config.n_clusters,
-        "lambda1": config.lambda1,
-        "lambda2": config.effective_lambda2,
-        "lambda3": config.lambda3,
-        "mu0": config.mu0,
-        "rho": config.rho,
-        "mu_max": config.mu_max,
-        "max_iter": config.max_iter,
-        "tol": config.tol,
-        "k_init": config.k_init,
-        "ablation": config.ablation,
-        "seed": config.seed,
-        "labels_from": labels_from,
-        "normalize": normalize_scheme,
-    }
+def _config_echo(config: SolverConfig, args: argparse.Namespace) -> dict:
+    return {**asdict(config), "lambda2": config.effective_lambda2,
+            "labels_from": args.labels_from, "normalize": args.normalize}
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -196,7 +174,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
 
     manifest = {
-        "config": _config_echo(config, args.labels_from, args.normalize),
+        "config": _config_echo(config, args),
         "dataset": _dataset_fingerprint(dataset),
         "labels": [int(x) for x in result.labels],
         "weights": [[float(x) for x in w] for w in result.weights],
@@ -251,53 +229,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DatasetFormatError(f"{args.data_dir}: sweep requires labels.csv")
     dataset = normalize(dataset, args.normalize)
 
-    grid = list(itertools.product(args.lambda1, args.lambda2, args.lambda3))
     rows = []
-    for l1, l2, l3 in grid:
-        config = SolverConfig(
-            n_clusters=args.clusters, lambda1=l1, lambda2=l2, lambda3=l3,
-            mu0=args.mu0, rho=args.rho, mu_max=args.mu_max, max_iter=args.max_iter,
-            tol=args.tol, k_init=args.k_init,
-            ablation=_ABLATION_TOKENS[args.ablation], seed=args.seed,
-        )
+    for point in itertools.product(*(getattr(args, name) for name in _GRID_FIELDS)):
+        config = _solver_config_from_args(args, **dict(zip(_GRID_FIELDS, point)))
         result = solve(dataset, config, labels_from=args.labels_from)
         report = _percent(compute_metrics(dataset.labels, result.labels))
-        rows.append((l1, l2, l3, report, result.iterations))
+        rows.append((point, report, result.iterations))
 
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("lambda1,lambda2,lambda3,acc,nmi,ari,precision,fscore,iterations\n")
-        for l1, l2, l3, report, iterations in rows:
+        fh.write(",".join(_GRID_FIELDS) + ",acc,nmi,ari,precision,fscore,iterations\n")
+        for point, report, iterations in rows:
             fh.write(
-                f"{l1:.17g},{l2:.17g},{l3:.17g},"
-                f"{report['acc']:.4f},{report['nmi']:.4f},{report['ari']:.4f},"
+                "".join(f"{value:.17g}," for value in point)
+                + f"{report['acc']:.4f},{report['nmi']:.4f},{report['ari']:.4f},"
                 f"{report['precision']:.4f},{report['fscore']:.4f},{iterations}\n"
             )
     print(f"wrote {args.out} ({len(rows)} grid points)")
     return 0
 
 
-def _read_label_file(path: str) -> np.ndarray:
-    labels = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise DatasetFormatError(f"{path}:{lineno}: non-numeric label {line!r}") from None
-            if not value.is_integer():
-                raise DatasetFormatError(f"{path}:{lineno}: label {line!r} is not an integer")
-            labels.append(int(value))
-    if not labels:
-        raise DatasetFormatError(f"{path}: no labels found")
-    return np.array(labels, dtype=int)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    truth = _read_label_file(args.truth)
-    pred = _read_label_file(args.pred)
+    truth = parse_labels_csv(args.truth)
+    pred = parse_labels_csv(args.pred)
     report = compute_metrics(truth, pred)
     payload = {"n": int(truth.size), "metrics": _percent(report)}
     if args.out:
@@ -308,22 +261,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda1", type=float, default=SolverConfig.lambda1)
-    p.add_argument("--lambda2", type=float, default=SolverConfig.lambda2)
-    p.add_argument("--lambda3", type=float, default=SolverConfig.lambda3)
-    p.add_argument("--mu0", type=float, default=SolverConfig.mu0)
-    p.add_argument("--rho", type=float, default=SolverConfig.rho)
-    p.add_argument("--mu-max", type=float, default=SolverConfig.mu_max)
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    p.add_argument("--tol", type=float, default=SolverConfig.tol)
-    p.add_argument("--k-init", type=int, default=SolverConfig.k_init)
-    p.add_argument("--clusters", type=int, required=True, help="number of clusters")
-    p.add_argument("--ablation", choices=sorted(_ABLATION_TOKENS), default="full")
-    p.add_argument("--labels-from", choices=("embedding", "graph"), default="embedding")
-    p.add_argument("--normalize", choices=("none", "unit_l2_per_sample", "minmax_per_feature"),
-                   default="none")
-    p.add_argument("--seed", type=int, default=0)
+def _add_solver_flags(p: argparse.ArgumentParser, grid: bool = False) -> None:
+    """One flag per SolverConfig field; with ``grid`` the lambdas take comma lists."""
+    for f in fields(SolverConfig):
+        flag = "--" + _dest(f.name).replace("_", "-")
+        if f.name == "n_clusters":
+            p.add_argument(flag, type=int, required=True, help="number of clusters")
+        elif f.name == "ablation":
+            p.add_argument(flag, choices=sorted((*ABLATION_MODES, *_ABLATION_ALIASES)),
+                           default=f.default)
+        elif grid and f.name in _GRID_FIELDS:
+            p.add_argument(flag, type=_comma_floats, default=(f.default,),
+                           help="comma-separated grid values")
+        else:
+            p.add_argument(flag, type=type(f.default), default=f.default)
+    p.add_argument("--labels-from", choices=LABEL_SOURCES, default="embedding")
+    p.add_argument("--normalize", choices=NormalizationScheme, default="none")
     p.add_argument("--config", default=None, help="key=value file with solver settings")
 
 
@@ -369,14 +322,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = commands["sweep"] = sub.add_parser("sweep", help="grid sweep over lambda values")
     p.add_argument("data_dir")
-    _add_solver_flags(p)
-    # grids replace the scalar lambda flags
-    p.set_defaults(lambda1=(SolverConfig.lambda1,), lambda2=(SolverConfig.lambda2,),
-                   lambda3=(SolverConfig.lambda3,))
-    for action in p._actions:
-        if action.dest in ("lambda1", "lambda2", "lambda3"):
-            action.type = _comma_floats
-            action.help = "comma-separated grid values"
+    _add_solver_flags(p, grid=True)
     p.add_argument("-o", "--out", required=True, help="sweep CSV path")
     p.set_defaults(func=cmd_sweep)
 

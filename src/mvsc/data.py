@@ -154,7 +154,8 @@ def _parse_numeric_csv(path: Path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _parse_labels_csv(path: Path, n: int) -> np.ndarray:
+def parse_labels_csv(path: str | Path) -> np.ndarray:
+    """Read one integer label per non-blank line, kept verbatim."""
     labels: list[int] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -168,10 +169,6 @@ def _parse_labels_csv(path: Path, n: int) -> np.ndarray:
             if not value.is_integer():
                 raise DatasetFormatError(f"{path}:{lineno}: label {line!r} is not an integer")
             labels.append(int(value))
-    if len(labels) != n:
-        raise DatasetFormatError(
-            f"{path}: {len(labels)} labels for {n} samples"
-        )
     return np.array(labels, dtype=int)
 
 
@@ -214,7 +211,9 @@ def load_dataset(directory_path: str | Path) -> MultiViewDataset:
     labels = None
     labels_path = directory / "labels.csv"
     if labels_path.exists():
-        labels = _parse_labels_csv(labels_path, int(n))
+        labels = parse_labels_csv(labels_path)
+        if labels.size != n:
+            raise DatasetFormatError(f"{labels_path}: {labels.size} labels for {n} samples")
 
     return MultiViewDataset(views=tuple(views), labels=labels)
 

@@ -22,6 +22,7 @@ from .prox_ops import _project_rows_simplex_zero_diag, prox_spectral_norm, soft_
 from .spectral import kmeans, smallest_eigvecs
 
 ABLATION_MODES = ("full", "uniform_weights", "no_spectral_norm")
+LABEL_SOURCES = ("embedding", "graph")
 
 
 @dataclass(frozen=True)
@@ -310,11 +311,9 @@ def _labels_from_state(state: SolverState, config: SolverConfig,
     fused = fuse_similarity(state.A)
     if labels_from == "embedding":
         labels = kmeans(state.Q, config.n_clusters, seed=config.seed)
-    elif labels_from == "graph":
+    else:
         Qg = smallest_eigvecs(laplacian(fused), config.n_clusters)
         labels = kmeans(Qg, config.n_clusters, seed=config.seed)
-    else:
-        raise ValueError("labels_from must be 'embedding' or 'graph'")
     return labels, fused
 
 
@@ -327,6 +326,8 @@ def solve(dataset: MultiViewDataset, config: SolverConfig,
     grows. Stops when all constraint gaps fall below ``config.tol`` or the
     iteration budget runs out. Deterministic for a fixed config and data.
     """
+    if labels_from not in LABEL_SOURCES:
+        raise ValueError(f"labels_from must be one of {LABEL_SOURCES}")
     state = initialize(dataset, config)
     rows: list[tuple[float, float, float, float, float]] = []
     converged = False

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +7,30 @@ import pytest
 
 from mvsc.cli import main
 from mvsc.metrics import compute_metrics
+from mvsc.solver import SolverConfig
 
 MANIFEST_KEYS = {"config", "dataset", "labels", "weights", "metrics",
                  "converged", "iterations", "timing"}
+
+# manifest setting -> (config-file key, non-default value, echoed value)
+SOLVER_SETTINGS = {
+    "n_clusters": ("clusters", "2", 2),
+    "lambda1": ("lambda1", "0.002", 0.002),
+    "lambda2": ("lambda2", "0.3", 0.3),  # effective_lambda2 in the default full mode
+    "lambda3": ("lambda3", "0.2", 0.2),
+    "mu0": ("mu0", "0.02", 0.02),
+    "rho": ("rho", "1.5", 1.5),
+    "mu_max": ("mu_max", "1000", 1000.0),
+    "max_iter": ("max_iter", "3", 3),
+    "tol": ("tol", "1e-4", 1e-4),
+    "k_init": ("k_init", "3", 3),
+    "ablation": ("ablation", "eq7", "uniform_weights"),
+    "seed": ("seed", "5", 5),
+    "labels_from": ("labels_from", "graph", "graph"),
+    "normalize": ("normalize", "minmax_per_feature", "minmax_per_feature"),
+}
+SETTING_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
+SETTING_DEFAULTS.update(labels_from="embedding", normalize="none")
 
 
 def run(*argv):
@@ -183,8 +205,9 @@ class TestEval:
 
     def test_bad_label_file(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("0\nnope\n")
-        assert run("eval", bad, bad) != 0
+        for content in ("0\nnope\n", ""):
+            bad.write_text(content)
+            assert run("eval", bad, bad) != 0
 
 
 class TestOverrides:
@@ -220,3 +243,27 @@ class TestOverrides:
         cfg.write_text("bogus = 3\n")
         assert run("cluster", synth_dir, "--clusters", 3, "--config", cfg,
                    "-o", tmp_path / "x.json") != 0
+
+    @pytest.mark.parametrize("source", ["env", "config"])
+    def test_bad_ablation_is_reported(self, synth_dir, tmp_path, monkeypatch, capsys, source):
+        argv = ["cluster", synth_dir, "--clusters", 3, "-o", tmp_path / "x.json"]
+        if source == "env":
+            monkeypatch.setenv("MVSC_ABLATION", "bogus")
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text("ablation = bogus\n")
+            argv += ["--config", cfg]
+        assert run(*argv) == 1
+        assert "error: ablation must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(SolverConfig)]
+                             + ["labels_from", "normalize"])
+    def test_every_setting_reaches_manifest(self, synth_dir, tmp_path, name):
+        key, value, echoed = SOLVER_SETTINGS[name]
+        assert echoed != SETTING_DEFAULTS[name]
+        settings = {"clusters": "3", "max_iter": "2", key: value}
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        out = tmp_path / "run.json"
+        assert run("cluster", synth_dir, "--config", cfg, "-o", out) == 0
+        assert read_json(out)["config"][name] == echoed

@@ -494,14 +494,19 @@ class TestSolve:
             assert np.linalg.norm(state.Q.T @ state.Q - np.eye(2)) <= 1e-9
             state.mu = step_mu(state, cfg)
 
-    def test_labels_from_graph_path(self, rng):
+    def test_labels_from_graph_path(self, rng, monkeypatch):
         spec = SynthSpec(clusters=2, samples_per_cluster=10, view_dims=(4, 4), seed=4)
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
         cfg = SolverConfig(n_clusters=2, max_iter=60)
         result = solve(ds, cfg, labels_from="graph")
         from mvsc.metrics import accuracy
         assert accuracy(ds.labels, result.labels) >= 0.9
-        with pytest.raises(ValueError):
+
+        def no_blocks(*_):
+            raise AssertionError("solver ran before labels_from was checked")
+
+        monkeypatch.setattr("mvsc.solver.initialize", no_blocks)
+        with pytest.raises(ValueError, match="labels_from"):
             solve(ds, cfg, labels_from="nowhere")
 
     def test_fused_similarity_well_formed(self, rng):
