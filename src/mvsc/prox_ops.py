@@ -1,8 +1,8 @@
 """Projections and proximal operators used by the solver subproblems.
 
-Three operators only: Euclidean projection onto the probability simplex
-with one coordinate pinned to zero (the self-affinity), elementwise
-soft-thresholding, and the proximal map of the spectral norm.
+Simplex projection with one coordinate pinned to zero (the self-affinity),
+scalar and row-batched; elementwise soft-thresholding; l1-ball projection;
+and the spectral-norm prox, which also returns the norm of its result.
 """
 
 from __future__ import annotations
@@ -102,18 +102,19 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def prox_spectral_norm(M: np.ndarray, t: float) -> np.ndarray:
-    """Proximal map of t*||.||_2 (largest singular value) at M.
+def prox_spectral_norm(M: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """Proximal map U of t*||.||_2 (largest singular value) at M, and ||U||_2.
 
     By Moreau decomposition against the nuclear-norm ball, the singular
     values shrink by their projection onto the l1 ball of radius t:
-    M = P diag(s) Q^T maps to P diag(s - proj_l1ball(s, t)) Q^T.
+    M = P diag(s) Q^T maps to P diag(s - proj_l1ball(s, t)) Q^T. The shrunk
+    values min(s, theta) stay sorted, so the first is ||U||_2.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     M = np.asarray(M, dtype=float)
     if t == 0:
-        return M.copy()
+        return M.copy(), float(np.linalg.norm(M, 2))
     P, s, Qt = np.linalg.svd(M, full_matrices=False)
     s_new = s - project_l1_ball(s, t)
-    return (P * s_new) @ Qt
+    return (P * s_new) @ Qt, float(s_new[0])

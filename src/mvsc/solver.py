@@ -11,7 +11,7 @@ the augmented Lagrangian with dual ascent on the three constraint gaps
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -48,6 +48,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.n_clusters < 2:
             raise ValueError("n_clusters must be >= 2")
         if min(self.lambda1, self.lambda2, self.lambda3) < 0:
@@ -196,12 +199,9 @@ def update_a(state: SolverState, dataset: MultiViewDataset, config: SolverConfig
     embedding distances, and the penalty pull toward Z + Lam3/mu."""
     if state.mu <= 0:
         raise ValueError("penalty mu must be positive")
-    X = dataset.views[view].values
     mu = state.mu
-    D = weighted_sq_distances(X, state.w[view])
-    D += config.lambda1 * pairwise_sq_distances(state.Q.T)
-    H = state.Z[view] + state.Lam3[view] / mu
-    D -= mu * H
+    D = graph_cost(dataset.views[view].values, state.w[view], state.Q, config.lambda1)
+    D -= mu * (state.Z[view] + state.Lam3[view] / mu)
     # rows solve project_simplex_excluding(-d_i / mu, i) in one batch
     return _project_rows_simplex_zero_diag(-D / mu)
 
@@ -214,8 +214,8 @@ def update_q(state: SolverState) -> np.ndarray:
     return smallest_eigvecs(L_sum, state.Q.shape[1])
 
 
-def update_u(state: SolverState, config: SolverConfig, view: int) -> np.ndarray:
-    """Spectral-norm proximal step on Z + Lam2/mu with weight lambda2/mu."""
+def update_u(state: SolverState, config: SolverConfig, view: int) -> tuple[np.ndarray, float]:
+    """Spectral-norm proximal step on Z + Lam2/mu at weight lambda2/mu: (U, ||U||_2)."""
     M = state.Z[view] + state.Lam2[view] / state.mu
     return prox_spectral_norm(M, config.effective_lambda2 / state.mu)
 
@@ -234,28 +234,42 @@ def update_w(state: SolverState, dataset: MultiViewDataset, config: SolverConfig
 
     y_k = [X L_A X^T]_kk measures how much feature k varies across the
     learned graph's edges; minimizing sum_k w_k^2 y_k on the simplex gives
-    w_k proportional to 1/y_k. Frozen (uniform) in the ablation modes.
+    w_k proportional to 1/y_k; a constant feature gets weight 0, and a view
+    of constant features only keeps its weights. Frozen in the ablation modes.
     """
     if not config.learn_weights:
         return state.w[view]
     X = dataset.views[view].values
+    varies = np.ptp(X, axis=1) > 0
+    if not varies.any():
+        return state.w[view]
     L = laplacian(state.A[view])
     y = np.einsum("ij,jk,ik->i", X, L, X)
-    y = np.maximum(y, 1e-12)
-    inv = 1.0 / y
+    inv = np.where(varies, 1.0 / np.maximum(y, 1e-12), 0.0)
     return inv / inv.sum()
+
+
+def constraint_gaps(state: SolverState, dataset: MultiViewDataset,
+                    view: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The view's three constraint gaps X - XZ - E, Z - U and Z - A."""
+    X = dataset.views[view].values
+    Z = state.Z[view]
+    return X - X @ Z - state.E[view], Z - state.U[view], Z - state.A[view]
+
+
+def graph_cost(X: np.ndarray, w: np.ndarray, Q: np.ndarray, lambda1: float) -> np.ndarray:
+    """Edge costs of the graph terms: weighted feature distances plus lambda1
+    times embedding distances. sum(graph_cost * A) is the objective's
+    distance term plus 2 lambda1 tr(Q^T L_A Q)."""
+    return weighted_sq_distances(X, w) + lambda1 * pairwise_sq_distances(Q.T)
 
 
 def update_multipliers(state: SolverState, dataset: MultiViewDataset,
                        view: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dual ascent on the three constraint gaps at step size mu."""
-    X = dataset.views[view].values
-    Z = state.Z[view]
+    g1, g2, g3 = constraint_gaps(state, dataset, view)
     mu = state.mu
-    lam1 = state.Lam1[view] + mu * (X - X @ Z - state.E[view])
-    lam2 = state.Lam2[view] + mu * (Z - state.U[view])
-    lam3 = state.Lam3[view] + mu * (Z - state.A[view])
-    return lam1, lam2, lam3
+    return state.Lam1[view] + mu * g1, state.Lam2[view] + mu * g2, state.Lam3[view] + mu * g3
 
 
 def step_mu(state: SolverState, config: SolverConfig) -> float:
@@ -263,26 +277,22 @@ def step_mu(state: SolverState, config: SolverConfig) -> float:
     return min(config.rho * state.mu, config.mu_max)
 
 
-def _graph_embedding_trace(A: np.ndarray, Q: np.ndarray) -> float:
-    return float(np.trace(Q.T @ (laplacian(A) @ Q)))
-
-
-def evaluate_objective(state: SolverState, dataset: MultiViewDataset,
-                       config: SolverConfig) -> tuple[float, float, float, float]:
+def evaluate_objective(state: SolverState, dataset: MultiViewDataset, config: SolverConfig,
+                       u_norms: list[float]) -> tuple[float, float, float, float]:
     """Model objective at the current split variables, plus the three
-    constraint gaps in max-abs-entry norm."""
+    constraint gaps in max-abs-entry norm. ``u_norms[v]`` is ||U_v||_2, as
+    the prox that produced U_v returned it."""
     obj = 0.0
     r_recon = r_u = r_a = 0.0
     for v, view in enumerate(dataset.views):
-        X = view.values
-        D = weighted_sq_distances(X, state.w[v])
-        obj += float((D * state.A[v]).sum())
-        obj += config.effective_lambda2 * float(np.linalg.norm(state.U[v], 2))
+        cost = graph_cost(view.values, state.w[v], state.Q, config.lambda1)
+        obj += float((cost * state.A[v]).sum())
+        obj += config.effective_lambda2 * u_norms[v]
         obj += config.lambda3 * float(np.abs(state.E[v]).sum())
-        obj += 2.0 * config.lambda1 * _graph_embedding_trace(state.A[v], state.Q)
-        r_recon = max(r_recon, float(np.abs(X - X @ state.Z[v] - state.E[v]).max()))
-        r_u = max(r_u, float(np.abs(state.Z[v] - state.U[v]).max()))
-        r_a = max(r_a, float(np.abs(state.Z[v] - state.A[v]).max()))
+        g1, g2, g3 = constraint_gaps(state, dataset, v)
+        r_recon = max(r_recon, float(np.abs(g1).max()))
+        r_u = max(r_u, float(np.abs(g2).max()))
+        r_a = max(r_a, float(np.abs(g3).max()))
     return obj, r_recon, r_u, r_a
 
 
@@ -291,18 +301,12 @@ def augmented_lagrangian(state: SolverState, dataset: MultiViewDataset,
     """Full penalized Lagrangian: objective + multiplier couplings +
     (mu/2) times the squared constraint gaps. The quantity every block
     update must not increase."""
-    obj, _, _, _ = evaluate_objective(state, dataset, config)
-    total = obj
-    mu = state.mu
-    for v, view in enumerate(dataset.views):
-        X = view.values
-        g1 = X - X @ state.Z[v] - state.E[v]
-        g2 = state.Z[v] - state.U[v]
-        g3 = state.Z[v] - state.A[v]
-        total += float((state.Lam1[v] * g1).sum())
-        total += float((state.Lam2[v] * g2).sum())
-        total += float((state.Lam3[v] * g3).sum())
-        total += 0.5 * mu * float((g1 * g1).sum() + (g2 * g2).sum() + (g3 * g3).sum())
+    u_norms = [float(np.linalg.norm(U, 2)) for U in state.U]
+    total, _, _, _ = evaluate_objective(state, dataset, config, u_norms)
+    for v in range(state.n_views):
+        lams = (state.Lam1[v], state.Lam2[v], state.Lam3[v])
+        for lam, g in zip(lams, constraint_gaps(state, dataset, v)):
+            total += float((lam * g).sum()) + 0.5 * state.mu * float((g * g).sum())
     return total
 
 
@@ -331,30 +335,25 @@ def solve(dataset: MultiViewDataset, config: SolverConfig,
     state = initialize(dataset, config)
     rows: list[tuple[float, float, float, float, float]] = []
     converged = False
+    u_norms = [0.0] * state.n_views
 
     for _ in range(config.max_iter):
         for v in range(state.n_views):
             state.Z[v] = update_z(state, dataset, v)
             state.A[v] = update_a(state, dataset, config, v)
-            state.U[v] = update_u(state, config, v)
+            state.U[v], u_norms[v] = update_u(state, config, v)
             state.E[v] = update_e(state, dataset, config, v)
             state.w[v] = update_w(state, dataset, config, v)
             state.Lam1[v], state.Lam2[v], state.Lam3[v] = update_multipliers(state, dataset, v)
         state.Q = update_q(state)
-        obj, r_recon, r_u, r_a = evaluate_objective(state, dataset, config)
+        obj, r_recon, r_u, r_a = evaluate_objective(state, dataset, config, u_norms)
         rows.append((obj, r_recon, r_u, r_a, state.mu))
         if max(r_recon, r_u, r_a) < config.tol:
             converged = True
             break
         state.mu = step_mu(state, config)
 
-    trace = ConvergenceTrace(
-        objective=np.array([r[0] for r in rows]),
-        r_recon=np.array([r[1] for r in rows]),
-        r_u=np.array([r[2] for r in rows]),
-        r_a=np.array([r[3] for r in rows]),
-        mu=np.array([r[4] for r in rows]),
-    )
+    trace = ConvergenceTrace(*np.array(rows, dtype=float).reshape(-1, 5).T)
     labels, fused = _labels_from_state(state, config, labels_from)
     return ClusteringResult(labels=labels, Q=state.Q, fused_similarity=fused,
                             weights=[w.copy() for w in state.w], trace=trace,

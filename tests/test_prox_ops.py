@@ -12,7 +12,7 @@ from mvsc.prox_ops import (
     soft_threshold,
 )
 
-from oracles import simplex_qp_enumerate
+from oracles import simplex_qp_enumerate, spectral_norm_via_gram
 
 
 class TestSimplexProjection:
@@ -109,20 +109,20 @@ class TestSpectralNormProx:
     def test_large_t_gives_zero(self, rng):
         M = rng.standard_normal((4, 4))
         t = np.linalg.svd(M, compute_uv=False).sum()
-        assert np.allclose(prox_spectral_norm(M, t), 0.0, atol=1e-10)
-        assert np.allclose(prox_spectral_norm(M, t + 5.0), 0.0, atol=1e-10)
+        assert np.allclose(prox_spectral_norm(M, t)[0], 0.0, atol=1e-10)
+        assert np.allclose(prox_spectral_norm(M, t + 5.0)[0], 0.0, atol=1e-10)
 
     def test_rank_one_shrinks_singular_value(self):
         u = np.array([[1.0], [0.0], [0.0]])
         v = np.array([[0.0, 1.0]])
         M = 3.0 * (u @ v)
         # scalar subproblem min_s t|s| + 0.5 (s - 3)^2 has minimizer s = 2 at t = 1
-        out = prox_spectral_norm(M, 1.0)
+        out, _ = prox_spectral_norm(M, 1.0)
         assert np.allclose(out, 2.0 * (u @ v), atol=1e-12)
 
     def test_diag_example_and_objective(self, rng):
         M = np.diag([5.0, 1.0])
-        out = prox_spectral_norm(M, 2.0)
+        out, _ = prox_spectral_norm(M, 2.0)
         assert np.allclose(out, np.diag([3.0, 1.0]), atol=1e-10)
 
         def objective(U):
@@ -140,7 +140,7 @@ class TestSpectralNormProx:
             shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
             M = rng.standard_normal(shape) * rng.uniform(0.2, 5)
             t = float(rng.uniform(0, 1.5 * np.linalg.svd(M, compute_uv=False).sum()))
-            prox = prox_spectral_norm(M, t)
+            prox, _ = prox_spectral_norm(M, t)
             P, s, Qt = np.linalg.svd(M, full_matrices=False)
             nuclear_ball = (P * project_l1_ball(s, t)) @ Qt
             assert np.abs(prox + nuclear_ball - M).max() <= 1e-8
@@ -148,13 +148,24 @@ class TestSpectralNormProx:
     def test_singular_values_shrink_but_stay_nonneg(self, rng):
         M = rng.standard_normal((5, 3))
         s_before = np.linalg.svd(M, compute_uv=False)
-        s_after = np.linalg.svd(prox_spectral_norm(M, 0.7), compute_uv=False)
+        s_after = np.linalg.svd(prox_spectral_norm(M, 0.7)[0], compute_uv=False)
         assert np.all(s_after <= s_before + 1e-12)
         assert np.all(s_after >= -1e-12)
 
+    def test_returned_norm_is_spectral_norm_of_result(self, rng):
+        for _ in range(100):
+            shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+            M = rng.standard_normal(shape) * rng.uniform(0.2, 5)
+            nuclear = np.linalg.svd(M, compute_uv=False).sum()
+            for t in (0.0, float(rng.uniform(0, nuclear))):
+                U, norm = prox_spectral_norm(M, t)
+                assert norm == pytest.approx(spectral_norm_via_gram(U), rel=1e-10)
+            for t in (1.01 * nuclear, nuclear + 5.0):
+                assert prox_spectral_norm(M, t)[1] == 0.0
+
     def test_zero_t_identity_and_negative_rejected(self, rng):
         M = rng.standard_normal((3, 3))
-        assert np.array_equal(prox_spectral_norm(M, 0.0), M)
+        assert np.array_equal(prox_spectral_norm(M, 0.0)[0], M)
         with pytest.raises(ValueError):
             prox_spectral_norm(M, -1.0)
 

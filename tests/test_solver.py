@@ -48,6 +48,9 @@ class TestConfig:
         {"n_clusters": 3, "mu0": 10.0, "mu_max": 1.0},
         {"n_clusters": 3, "tol": 0.0},
         {"n_clusters": 3, "ablation": "bogus"},
+        *({"n_clusters": 3, name: float("nan")}
+          for name in ("lambda1", "lambda2", "lambda3", "mu0", "rho", "mu_max", "tol")),
+        *({"n_clusters": 3, name: float("inf")} for name in ("rho", "mu_max", "tol")),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -213,7 +216,7 @@ class TestUpdateU:
         ds = make_random_dataset(5, (3,), rng)
         cfg = SolverConfig(n_clusters=2, lambda2=0.0, k_init=2)
         state = make_random_state(ds, cfg, rng, mu=2.0)
-        U = update_u(state, cfg, 0)
+        U, _ = update_u(state, cfg, 0)
         assert np.array_equal(U, state.Z[0] + state.Lam2[0] / 2.0)
 
     def test_huge_lambda2_zeroes_u(self, rng):
@@ -222,11 +225,11 @@ class TestUpdateU:
         M = state.Z[0] + state.Lam2[0]
         nuclear = np.linalg.svd(M, compute_uv=False).sum()
         cfg = SolverConfig(n_clusters=2, lambda2=nuclear + 1.0, k_init=2)
-        assert np.allclose(update_u(state, cfg, 0), 0.0, atol=1e-10)
+        assert np.allclose(update_u(state, cfg, 0)[0], 0.0, atol=1e-10)
 
     def test_beats_random_perturbations(self, small_problem, rng):
         ds, cfg, state = small_problem
-        U = update_u(state, cfg, 0)
+        U, _ = update_u(state, cfg, 0)
         M = state.Z[0] + state.Lam2[0] / state.mu
 
         def block_objective(candidate):
@@ -305,6 +308,20 @@ class TestUpdateW:
         )
         assert np.abs(w - res.x).max() <= 1e-6
 
+    @pytest.mark.parametrize("value", [0.0, 0.7])
+    def test_constant_feature_gets_zero_weight(self, small_problem, value):
+        ds, cfg, state = small_problem
+        X = ds.views[0].values
+        padded = MultiViewDataset(views=(ViewMatrix(np.vstack([X, np.full(X.shape[1], value)]), 0),))
+        want = np.append(update_w(state, ds, cfg, 0), 0.0)
+        assert np.abs(update_w(state, padded, cfg, 0) - want).max() <= 1e-12
+
+    def test_all_constant_view_keeps_weights(self, rng):
+        ds = MultiViewDataset(views=(ViewMatrix(np.full((3, 6), 0.5), 0),))
+        cfg = SolverConfig(n_clusters=2, k_init=2)
+        state = make_random_state(ds, cfg, rng)
+        assert np.array_equal(update_w(state, ds, cfg, 0), state.w[0])
+
     def test_frozen_in_ablation_modes(self, rng):
         ds = make_random_dataset(6, (4,), rng)
         for mode in ("uniform_weights", "no_spectral_norm"):
@@ -364,12 +381,14 @@ class TestObjective:
             state.A[v][:] = 0.0
             state.E[v][:] = 0.0
             state.U[v][:] = 0.0
-        obj, _, _, _ = evaluate_objective(state, ds, cfg)
+        norms = [spectral_norm_via_gram(U) for U in state.U]
+        obj, _, _, _ = evaluate_objective(state, ds, cfg, norms)
         assert obj == pytest.approx(0.0, abs=1e-14)
 
     def test_termwise_recomputation(self, small_problem):
         ds, cfg, state = small_problem
-        obj, r_recon, r_u, r_a = evaluate_objective(state, ds, cfg)
+        norms = [spectral_norm_via_gram(U) for U in state.U]
+        obj, r_recon, r_u, r_a = evaluate_objective(state, ds, cfg, norms)
         want = 0.0
         for v, view in enumerate(ds.views):
             X = view.values
@@ -413,7 +432,7 @@ def apply_block(block, state, dataset, config):
         state.Q = update_q(state)
     elif block == "u":
         for v in range(state.n_views):
-            state.U[v] = update_u(state, config, v)
+            state.U[v], _ = update_u(state, config, v)
     elif block == "e":
         for v in range(state.n_views):
             state.E[v] = update_e(state, dataset, config, v)
@@ -481,7 +500,7 @@ class TestSolve:
             for v in range(state.n_views):
                 state.Z[v] = update_z(state, ds, v)
                 state.A[v] = update_a(state, ds, cfg, v)
-                state.U[v] = update_u(state, cfg, v)
+                state.U[v], _ = update_u(state, cfg, v)
                 state.E[v] = update_e(state, ds, cfg, v)
                 state.w[v] = update_w(state, ds, cfg, v)
                 state.Lam1[v], state.Lam2[v], state.Lam3[v] = update_multipliers(state, ds, v)
@@ -493,6 +512,21 @@ class TestSolve:
             state.Q = update_q(state)
             assert np.linalg.norm(state.Q.T @ state.Q - np.eye(2)) <= 1e-9
             state.mu = step_mu(state, cfg)
+
+    @pytest.mark.parametrize("mode", ["full", "no_spectral_norm"])
+    def test_objective_gets_current_u_norms(self, mode, monkeypatch):
+        spec = SynthSpec(clusters=2, samples_per_cluster=8, view_dims=(3, 5), seed=6)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        seen = []
+
+        def checked(state, dataset, config, u_norms):
+            seen.append([spectral_norm_via_gram(U) for U in state.U])
+            assert u_norms == pytest.approx(seen[-1], rel=1e-10)
+            return evaluate_objective(state, dataset, config, u_norms)
+
+        monkeypatch.setattr("mvsc.solver.evaluate_objective", checked)
+        result = solve(ds, SolverConfig(n_clusters=2, max_iter=8, ablation=mode))
+        assert len(seen) == result.iterations == 8
 
     def test_labels_from_graph_path(self, rng, monkeypatch):
         spec = SynthSpec(clusters=2, samples_per_cluster=10, view_dims=(4, 4), seed=4)
