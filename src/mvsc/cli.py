@@ -106,7 +106,10 @@ def _comma_floats(text: str) -> tuple[float, ...]:
 def _bool_flag(text) -> bool:
     if isinstance(text, bool):
         return text
-    return str(text).strip().lower() in ("1", "true", "yes", "on")
+    word = str(text).strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+    return word in ("1", "true", "yes", "on")
 
 
 def _dataset_fingerprint(dataset: MultiViewDataset) -> dict:
@@ -199,15 +202,15 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_baseline(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data_dir)
     start = time.perf_counter()
-    labels = ncut_baseline(dataset, args.clusters, seed=args.seed,
-                           ratio_cut=_bool_flag(args.ratio_cut))
+    ratio_cut = _bool_flag(args.ratio_cut)
+    labels = ncut_baseline(dataset, args.clusters, seed=args.seed, ratio_cut=ratio_cut)
     elapsed = time.perf_counter() - start
 
     manifest = {
         "config": {
             "n_clusters": args.clusters,
             "seed": args.seed,
-            "ratio_cut": _bool_flag(args.ratio_cut),
+            "ratio_cut": ratio_cut,
         },
         "dataset": _dataset_fingerprint(dataset),
         "labels": [int(x) for x in labels],
@@ -339,14 +342,18 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = build_parser()
 
-    # route --config and environment overrides through each subcommand's defaults
+    # route --config and environment overrides through each subcommand's defaults;
+    # MVSC_CONFIG stands in for --config on the subcommands that take it
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
+    config_path = known.config
+    if config_path is None and argv[:1] in (["cluster"], ["sweep"]):
+        config_path = os.environ.get(ENV_PREFIX + "CONFIG")
     file_values = {}
-    if known.config:
+    if config_path:
         try:
-            file_values = _read_config_file(known.config)
+            file_values = _read_config_file(config_path)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -202,7 +202,7 @@ def update_a(state: SolverState, dataset: MultiViewDataset, config: SolverConfig
     mu = state.mu
     D = graph_cost(dataset.views[view].values, state.w[view], state.Q, config.lambda1)
     D -= mu * (state.Z[view] + state.Lam3[view] / mu)
-    # rows solve project_simplex_excluding(-d_i / mu, i) in one batch
+    # row i: simplex projection of -d_i / mu with a_ii pinned to 0
     return _project_rows_simplex_zero_diag(-D / mu)
 
 
@@ -215,9 +215,14 @@ def update_q(state: SolverState) -> np.ndarray:
 
 
 def update_u(state: SolverState, config: SolverConfig, view: int) -> tuple[np.ndarray, float]:
-    """Spectral-norm proximal step on Z + Lam2/mu at weight lambda2/mu: (U, ||U||_2)."""
+    """Spectral-norm proximal step on Z + Lam2/mu at weight lambda2/mu: U and the
+    objective's U term lambda2 * ||U||_2. At weight 0 it is the identity, with no SVD."""
     M = state.Z[view] + state.Lam2[view] / state.mu
-    return prox_spectral_norm(M, config.effective_lambda2 / state.mu)
+    t = config.effective_lambda2 / state.mu
+    if t == 0:
+        return M, 0.0
+    U, norm = prox_spectral_norm(M, t)
+    return U, config.effective_lambda2 * norm
 
 
 def update_e(state: SolverState, dataset: MultiViewDataset, config: SolverConfig,
@@ -278,16 +283,16 @@ def step_mu(state: SolverState, config: SolverConfig) -> float:
 
 
 def evaluate_objective(state: SolverState, dataset: MultiViewDataset, config: SolverConfig,
-                       u_norms: list[float]) -> tuple[float, float, float, float]:
+                       u_terms: list[float]) -> tuple[float, float, float, float]:
     """Model objective at the current split variables, plus the three
-    constraint gaps in max-abs-entry norm. ``u_norms[v]`` is ||U_v||_2, as
-    the prox that produced U_v returned it."""
+    constraint gaps in max-abs-entry norm. ``u_terms[v]`` is the U term
+    lambda2 * ||U_v||_2, as the update_u that produced U_v returned it."""
     obj = 0.0
     r_recon = r_u = r_a = 0.0
     for v, view in enumerate(dataset.views):
         cost = graph_cost(view.values, state.w[v], state.Q, config.lambda1)
         obj += float((cost * state.A[v]).sum())
-        obj += config.effective_lambda2 * u_norms[v]
+        obj += u_terms[v]
         obj += config.lambda3 * float(np.abs(state.E[v]).sum())
         g1, g2, g3 = constraint_gaps(state, dataset, v)
         r_recon = max(r_recon, float(np.abs(g1).max()))
@@ -301,8 +306,8 @@ def augmented_lagrangian(state: SolverState, dataset: MultiViewDataset,
     """Full penalized Lagrangian: objective + multiplier couplings +
     (mu/2) times the squared constraint gaps. The quantity every block
     update must not increase."""
-    u_norms = [float(np.linalg.norm(U, 2)) for U in state.U]
-    total, _, _, _ = evaluate_objective(state, dataset, config, u_norms)
+    u_terms = [config.effective_lambda2 * float(np.linalg.norm(U, 2)) for U in state.U]
+    total, _, _, _ = evaluate_objective(state, dataset, config, u_terms)
     for v in range(state.n_views):
         lams = (state.Lam1[v], state.Lam2[v], state.Lam3[v])
         for lam, g in zip(lams, constraint_gaps(state, dataset, v)):
@@ -335,18 +340,18 @@ def solve(dataset: MultiViewDataset, config: SolverConfig,
     state = initialize(dataset, config)
     rows: list[tuple[float, float, float, float, float]] = []
     converged = False
-    u_norms = [0.0] * state.n_views
+    u_terms = [0.0] * state.n_views
 
     for _ in range(config.max_iter):
         for v in range(state.n_views):
             state.Z[v] = update_z(state, dataset, v)
             state.A[v] = update_a(state, dataset, config, v)
-            state.U[v], u_norms[v] = update_u(state, config, v)
+            state.U[v], u_terms[v] = update_u(state, config, v)
             state.E[v] = update_e(state, dataset, config, v)
             state.w[v] = update_w(state, dataset, config, v)
             state.Lam1[v], state.Lam2[v], state.Lam3[v] = update_multipliers(state, dataset, v)
         state.Q = update_q(state)
-        obj, r_recon, r_u, r_a = evaluate_objective(state, dataset, config, u_norms)
+        obj, r_recon, r_u, r_a = evaluate_objective(state, dataset, config, u_terms)
         rows.append((obj, r_recon, r_u, r_a, state.mu))
         if max(r_recon, r_u, r_a) < config.tol:
             converged = True

@@ -238,6 +238,46 @@ class TestOverrides:
         assert config["seed"] == 9        # env over file
         assert config["max_iter"] == 8    # flag over both
 
+    def test_config_env_var_matches_flag(self, synth_dir, tmp_path, monkeypatch):
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("lambda2 = 0.25\nmax_iter = 6\nseed = 2\n")
+        argv = ["cluster", synth_dir, "--clusters", 3]
+        assert run(*argv, "--config", cfg, "-o", tmp_path / "flag.json") == 0
+        monkeypatch.setenv("MVSC_CONFIG", str(cfg))
+        assert run(*argv, "-o", tmp_path / "env.json") == 0
+        manifests = [read_json(tmp_path / name) for name in ("flag.json", "env.json")]
+        for manifest in manifests:
+            del manifest["timing"]
+        assert manifests[0] == manifests[1]
+        assert manifests[1]["config"]["lambda2"] == 0.25
+
+    def test_config_flag_beats_env_var(self, synth_dir, tmp_path, monkeypatch):
+        env_cfg, flag_cfg = tmp_path / "env.cfg", tmp_path / "flag.cfg"
+        env_cfg.write_text("max_iter = 3\nseed = 4\n")
+        flag_cfg.write_text("max_iter = 5\n")
+        monkeypatch.setenv("MVSC_CONFIG", str(env_cfg))
+        out = tmp_path / "run.json"
+        assert run("cluster", synth_dir, "--clusters", 3, "--config", flag_cfg, "-o", out) == 0
+        config = read_json(out)["config"]
+        assert config["max_iter"] == 5
+        assert config["seed"] == 0  # the variable's file is not read at all
+
+    def test_missing_config_from_env_fails(self, synth_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MVSC_CONFIG", str(tmp_path / "missing.cfg"))
+        assert run("cluster", synth_dir, "--clusters", 3, "-o", tmp_path / "x.json") == 1
+        assert "error:" in capsys.readouterr().err
+        # like --config, the variable only feeds cluster and sweep
+        assert run("baseline", synth_dir, "--clusters", 3, "-o", tmp_path / "b.json") == 0
+
+    def test_bad_boolean_is_reported(self, synth_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MVSC_RATIO_CUT", "ture")
+        assert run("baseline", synth_dir, "--clusters", 3, "-o", tmp_path / "x.json") == 1
+        assert "error: expected 1/true/yes/on or 0/false/no/off, got 'ture'" in capsys.readouterr().err
+        for word, expected in (("ON", True), (" off ", False)):
+            monkeypatch.setenv("MVSC_RATIO_CUT", word)
+            assert run("baseline", synth_dir, "--clusters", 3, "-o", tmp_path / "b.json") == 0
+            assert read_json(tmp_path / "b.json")["config"]["ratio_cut"] is expected
+
     def test_unknown_config_key_fails(self, synth_dir, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 3\n")

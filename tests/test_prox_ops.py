@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from mvsc.prox_ops import (
     _project_rows_simplex_zero_diag,
     project_l1_ball,
-    project_simplex_excluding,
     prox_spectral_norm,
     soft_threshold,
 )
@@ -15,68 +14,71 @@ from mvsc.prox_ops import (
 from oracles import simplex_qp_enumerate, spectral_norm_via_gram
 
 
+def project_excluding_each(v):
+    """Row e is v projected onto the simplex with coordinate e pinned to 0."""
+    v = np.asarray(v, dtype=float)
+    return _project_rows_simplex_zero_diag(np.tile(v, (v.size, 1)))
+
+
 class TestSimplexProjection:
     def test_fixed_point(self):
         v = np.array([0.2, 0.0, 0.5, 0.3])
-        res = project_simplex_excluding(v, excluded=1)
-        assert np.allclose(res.point, v, atol=1e-12)
-        assert res.multiplier == pytest.approx(0.0, abs=1e-12)
+        point = project_excluding_each(v)[1]
+        assert np.allclose(point, v, atol=1e-12)
+        eta = point[2] - v[2]
+        assert eta == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_input_gives_uniform(self):
-        res = project_simplex_excluding(np.array([0.5, 0.5, 0.9, 0.5]), excluded=2)
+        point = project_excluding_each([0.5, 0.5, 0.9, 0.5])[2]
         expected = np.array([1 / 3, 1 / 3, 0.0, 1 / 3])
-        assert np.allclose(res.point, expected, atol=1e-12)
+        assert np.allclose(point, expected, atol=1e-12)
 
     def test_all_negative_concentrates_on_largest(self):
-        res = project_simplex_excluding(np.array([-5.0, -1.0, -3.0]), excluded=2)
-        assert np.allclose(res.point, [0.0, 1.0, 0.0], atol=1e-12)
+        point = project_excluding_each([-5.0, -1.0, -3.0])[2]
+        assert np.allclose(point, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_excluded_always_zero_and_sums_to_one(self, rng):
         for _ in range(100):
             n = rng.integers(2, 9)
             v = rng.standard_normal(n) * rng.uniform(0.1, 10)
-            excl = int(rng.integers(n))
-            res = project_simplex_excluding(v, excl)
-            assert res.point[excl] == 0.0
-            assert res.point.min() >= 0.0
-            assert res.point.sum() == pytest.approx(1.0, abs=1e-10)
+            points = project_excluding_each(v)
+            assert np.all(np.diag(points) == 0.0)
+            assert points.min() >= 0.0
+            assert np.abs(points.sum(axis=1) - 1.0).max() <= 1e-10
 
     def test_matches_enumeration_oracle(self, rng):
         for _ in range(300):
             n = int(rng.integers(2, 9))
             v = rng.standard_normal(n) * rng.uniform(0.1, 5)
-            excl = int(rng.integers(n))
-            got = project_simplex_excluding(v, excl).point
-            want = simplex_qp_enumerate(v, excl)
-            assert np.abs(got - want).max() <= 1e-7
+            points = project_excluding_each(v)
+            for excl in range(n):
+                want = simplex_qp_enumerate(v, excl)
+                assert np.abs(points[excl] - want).max() <= 1e-7
 
     @given(arrays(np.float64, st.integers(2, 8),
                   elements=st.floats(-50, 50, allow_nan=False)))
     @settings(max_examples=100, deadline=None)
     def test_kkt_conditions(self, v):
-        res = project_simplex_excluding(v, excluded=0)
-        active = res.point > 0
-        active[0] = False
-        # active coordinates sit exactly at v + eta, inactive ones at or below zero
-        assert np.allclose(res.point[active], v[active] + res.multiplier, atol=1e-9)
-        inactive = ~active
-        inactive[0] = False
-        assert np.all(v[inactive] + res.multiplier <= 1e-10)
+        points = project_excluding_each(v)
+        for excl, point in enumerate(points):
+            # the largest entry is active, so it recovers the threshold eta
+            top = int(np.argmax(point))
+            eta = point[top] - v[top]
+            active = point > 0
+            active[excl] = False
+            # active coordinates sit exactly at v + eta, inactive ones at or below zero
+            assert np.allclose(point[active], v[active] + eta, atol=1e-9)
+            inactive = ~active
+            inactive[excl] = False
+            assert np.all(v[inactive] + eta <= 1e-10)
 
-    def test_rejects_too_short_and_bad_index(self):
-        with pytest.raises(ValueError):
-            project_simplex_excluding(np.array([1.0]), 0)
-        with pytest.raises(ValueError):
-            project_simplex_excluding(np.ones(3), 5)
-
-    def test_batched_rows_match_scalar(self, rng):
+    def test_rows_of_general_matrix_match_oracle(self, rng):
         for _ in range(25):
-            n = int(rng.integers(2, 15))
+            n = int(rng.integers(2, 9))
             V = rng.standard_normal((n, n)) * rng.uniform(0.1, 10)
             batched = _project_rows_simplex_zero_diag(V)
             for i in range(n):
-                assert np.allclose(batched[i], project_simplex_excluding(V[i], i).point,
-                                   atol=1e-13)
+                assert np.abs(batched[i] - simplex_qp_enumerate(V[i], i)).max() <= 1e-13
 
 
 class TestSoftThreshold:
@@ -157,17 +159,17 @@ class TestSpectralNormProx:
             shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
             M = rng.standard_normal(shape) * rng.uniform(0.2, 5)
             nuclear = np.linalg.svd(M, compute_uv=False).sum()
-            for t in (0.0, float(rng.uniform(0, nuclear))):
-                U, norm = prox_spectral_norm(M, t)
-                assert norm == pytest.approx(spectral_norm_via_gram(U), rel=1e-10)
+            U, norm = prox_spectral_norm(M, float(rng.uniform(0, nuclear)))
+            assert norm == pytest.approx(spectral_norm_via_gram(U), rel=1e-10)
             for t in (1.01 * nuclear, nuclear + 5.0):
                 assert prox_spectral_norm(M, t)[1] == 0.0
 
-    def test_zero_t_identity_and_negative_rejected(self, rng):
+    def test_nonpositive_t_rejected(self, rng):
+        # weight 0 is the identity, which update_u applies without the prox
         M = rng.standard_normal((3, 3))
-        assert np.array_equal(prox_spectral_norm(M, 0.0)[0], M)
-        with pytest.raises(ValueError):
-            prox_spectral_norm(M, -1.0)
+        for t in (0.0, -1.0):
+            with pytest.raises(ValueError, match="t must be positive"):
+                prox_spectral_norm(M, t)
 
 
 class TestL1BallProjection:
@@ -186,3 +188,8 @@ class TestL1BallProjection:
             out = project_l1_ball(v, r)
             assert out.sum() == pytest.approx(r, abs=1e-9)
             assert np.all(out >= 0)
+
+    def test_zero_radius_gives_zero(self):
+        for v in ([1.0, 2.0], [0.0, 0.0], [0.0, 3.0, 0.5]):
+            out = project_l1_ball(np.array(v), 0.0)
+            assert np.array_equal(out, np.zeros(len(v)))

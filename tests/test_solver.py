@@ -212,12 +212,18 @@ class TestUpdateQ:
 
 
 class TestUpdateU:
-    def test_zero_lambda2_is_exact_passthrough(self, rng):
+    def test_zero_lambda2_is_exact_passthrough(self, rng, monkeypatch):
+        def no_prox(*_):
+            raise AssertionError("prox called at weight 0")
+
+        monkeypatch.setattr("mvsc.solver.prox_spectral_norm", no_prox)
         ds = make_random_dataset(5, (3,), rng)
-        cfg = SolverConfig(n_clusters=2, lambda2=0.0, k_init=2)
-        state = make_random_state(ds, cfg, rng, mu=2.0)
-        U, _ = update_u(state, cfg, 0)
-        assert np.array_equal(U, state.Z[0] + state.Lam2[0] / 2.0)
+        for cfg in (SolverConfig(n_clusters=2, lambda2=0.0, k_init=2),
+                    SolverConfig(n_clusters=2, lambda2=0.5, k_init=2, ablation="no_spectral_norm")):
+            state = make_random_state(ds, cfg, rng, mu=2.0)
+            U, term = update_u(state, cfg, 0)
+            assert np.array_equal(U, state.Z[0] + state.Lam2[0] / 2.0)
+            assert term == 0.0
 
     def test_huge_lambda2_zeroes_u(self, rng):
         ds = make_random_dataset(5, (3,), rng)
@@ -229,7 +235,8 @@ class TestUpdateU:
 
     def test_beats_random_perturbations(self, small_problem, rng):
         ds, cfg, state = small_problem
-        U, _ = update_u(state, cfg, 0)
+        U, term = update_u(state, cfg, 0)
+        assert term == pytest.approx(cfg.lambda2 * spectral_norm_via_gram(U), rel=1e-10)
         M = state.Z[0] + state.Lam2[0] / state.mu
 
         def block_objective(candidate):
@@ -381,14 +388,14 @@ class TestObjective:
             state.A[v][:] = 0.0
             state.E[v][:] = 0.0
             state.U[v][:] = 0.0
-        norms = [spectral_norm_via_gram(U) for U in state.U]
-        obj, _, _, _ = evaluate_objective(state, ds, cfg, norms)
+        terms = [cfg.effective_lambda2 * spectral_norm_via_gram(U) for U in state.U]
+        obj, _, _, _ = evaluate_objective(state, ds, cfg, terms)
         assert obj == pytest.approx(0.0, abs=1e-14)
 
     def test_termwise_recomputation(self, small_problem):
         ds, cfg, state = small_problem
-        norms = [spectral_norm_via_gram(U) for U in state.U]
-        obj, r_recon, r_u, r_a = evaluate_objective(state, ds, cfg, norms)
+        terms = [cfg.effective_lambda2 * spectral_norm_via_gram(U) for U in state.U]
+        obj, r_recon, r_u, r_a = evaluate_objective(state, ds, cfg, terms)
         want = 0.0
         for v, view in enumerate(ds.views):
             X = view.values
@@ -519,10 +526,10 @@ class TestSolve:
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
         seen = []
 
-        def checked(state, dataset, config, u_norms):
-            seen.append([spectral_norm_via_gram(U) for U in state.U])
-            assert u_norms == pytest.approx(seen[-1], rel=1e-10)
-            return evaluate_objective(state, dataset, config, u_norms)
+        def checked(state, dataset, config, u_terms):
+            seen.append([config.effective_lambda2 * spectral_norm_via_gram(U) for U in state.U])
+            assert u_terms == pytest.approx(seen[-1], rel=1e-10)
+            return evaluate_objective(state, dataset, config, u_terms)
 
         monkeypatch.setattr("mvsc.solver.evaluate_objective", checked)
         result = solve(ds, SolverConfig(n_clusters=2, max_iter=8, ablation=mode))
@@ -542,6 +549,26 @@ class TestSolve:
         monkeypatch.setattr("mvsc.solver.initialize", no_blocks)
         with pytest.raises(ValueError, match="labels_from"):
             solve(ds, cfg, labels_from="nowhere")
+
+    def test_k_init_one_below_sample_count(self):
+        spec = SynthSpec(clusters=3, samples_per_cluster=10, view_dims=(4, 5), seed=2)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        n = ds.n_samples
+        cfg = SolverConfig(n_clusters=3, k_init=n - 1)
+        off_diagonal = ~np.eye(n, dtype=bool)
+        for A in initialize(ds, cfg).A:
+            assert np.all(A[off_diagonal] == 1.0 / (n - 1))
+            assert np.all(np.diag(A) == 0.0)
+        result = solve(ds, cfg)
+        from mvsc.metrics import accuracy
+        assert accuracy(ds.labels, result.labels) == 1.0
+        assert np.isfinite(result.Q).all() and np.isfinite(result.fused_similarity).all()
+        # each A_v is row-stochastic, so the fused similarity carries total mass n
+        assert result.fused_similarity.min() >= 0.0
+        assert abs(result.fused_similarity.sum() - n) <= 1e-9
+        for w in result.weights:
+            assert w.min() >= 0.0
+            assert abs(w.sum() - 1.0) <= 1e-12
 
     def test_fused_similarity_well_formed(self, rng):
         spec = SynthSpec(clusters=2, samples_per_cluster=8, view_dims=(3, 5), seed=6)
