@@ -37,7 +37,7 @@ from .data import (
 )
 from .graph_ops import laplacian
 from .metrics import MetricReport, compute_metrics
-from .solver import ABLATION_MODES, LABEL_SOURCES, SolverConfig, solve
+from .solver import ABLATION_MODES, SolverConfig, solve
 from .spectral import ncut_baseline
 
 ENV_PREFIX = "MVSC_"
@@ -54,7 +54,7 @@ def _dest(field_name: str) -> str:
     return "clusters" if field_name == "n_clusters" else field_name
 
 
-_SOLVER_KEYS = frozenset(_dest(f.name) for f in fields(SolverConfig)) | {"labels_from", "normalize"}
+_SOLVER_KEYS = frozenset(_dest(f.name) for f in fields(SolverConfig)) | {"normalize"}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -163,8 +163,7 @@ def _solver_config_from_args(args: argparse.Namespace, **overrides) -> SolverCon
 
 
 def _config_echo(config: SolverConfig, args: argparse.Namespace) -> dict:
-    return {**asdict(config), "lambda2": config.effective_lambda2,
-            "labels_from": args.labels_from, "normalize": args.normalize}
+    return {**asdict(config), "lambda2": config.effective_lambda2, "normalize": args.normalize}
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -173,7 +172,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     config = _solver_config_from_args(args)
 
     start = time.perf_counter()
-    result = solve(dataset, config, labels_from=args.labels_from)
+    result = solve(dataset, config)
     elapsed = time.perf_counter() - start
 
     manifest = {
@@ -232,10 +231,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DatasetFormatError(f"{args.data_dir}: sweep requires labels.csv")
     dataset = normalize(dataset, args.normalize)
 
+    # every grid point's config is checked before the first solve
+    grid = list(itertools.product(*(getattr(args, name) for name in _GRID_FIELDS)))
+    configs = [_solver_config_from_args(args, **dict(zip(_GRID_FIELDS, point))) for point in grid]
     rows = []
-    for point in itertools.product(*(getattr(args, name) for name in _GRID_FIELDS)):
-        config = _solver_config_from_args(args, **dict(zip(_GRID_FIELDS, point)))
-        result = solve(dataset, config, labels_from=args.labels_from)
+    for point, config in zip(grid, configs):
+        result = solve(dataset, config)
         report = _percent(compute_metrics(dataset.labels, result.labels))
         rows.append((point, report, result.iterations))
 
@@ -278,7 +279,6 @@ def _add_solver_flags(p: argparse.ArgumentParser, grid: bool = False) -> None:
                            help="comma-separated grid values")
         else:
             p.add_argument(flag, type=type(f.default), default=f.default)
-    p.add_argument("--labels-from", choices=LABEL_SOURCES, default="embedding")
     p.add_argument("--normalize", choices=NormalizationScheme, default="none")
     p.add_argument("--config", default=None, help="key=value file with solver settings")
 

@@ -22,7 +22,6 @@ from .prox_ops import _project_rows_simplex_zero_diag, prox_spectral_norm, soft_
 from .spectral import kmeans, smallest_eigvecs
 
 ABLATION_MODES = ("full", "uniform_weights", "no_spectral_norm")
-LABEL_SOURCES = ("embedding", "graph")
 
 
 @dataclass(frozen=True)
@@ -63,6 +62,8 @@ class SolverConfig:
             raise ValueError("max_iter >= 0, tol > 0, k_init >= 1 required")
         if self.ablation not in ABLATION_MODES:
             raise ValueError(f"ablation must be one of {ABLATION_MODES}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def effective_lambda2(self) -> float:
@@ -315,28 +316,15 @@ def augmented_lagrangian(state: SolverState, dataset: MultiViewDataset,
     return total
 
 
-def _labels_from_state(state: SolverState, config: SolverConfig,
-                       labels_from: str) -> tuple[np.ndarray, np.ndarray]:
-    fused = fuse_similarity(state.A)
-    if labels_from == "embedding":
-        labels = kmeans(state.Q, config.n_clusters, seed=config.seed)
-    else:
-        Qg = smallest_eigvecs(laplacian(fused), config.n_clusters)
-        labels = kmeans(Qg, config.n_clusters, seed=config.seed)
-    return labels, fused
-
-
-def solve(dataset: MultiViewDataset, config: SolverConfig,
-          labels_from: str = "embedding") -> ClusteringResult:
-    """Run the full alternating scheme and produce cluster labels.
+def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
+    """Run the full alternating scheme and label the samples by k-means on Q.
 
     Per outer iteration, each view updates Z, A, U, E, w and its
     multipliers in turn; then the shared Q is refreshed and the penalty
     grows. Stops when all constraint gaps fall below ``config.tol`` or the
     iteration budget runs out. Deterministic for a fixed config and data.
+    The fused similarity's Laplacian is (1/V) sum_v L(A_v): its bottom eigenvectors span Q.
     """
-    if labels_from not in LABEL_SOURCES:
-        raise ValueError(f"labels_from must be one of {LABEL_SOURCES}")
     state = initialize(dataset, config)
     rows: list[tuple[float, float, float, float, float]] = []
     converged = False
@@ -359,7 +347,7 @@ def solve(dataset: MultiViewDataset, config: SolverConfig,
         state.mu = step_mu(state, config)
 
     trace = ConvergenceTrace(*np.array(rows, dtype=float).reshape(-1, 5).T)
-    labels, fused = _labels_from_state(state, config, labels_from)
-    return ClusteringResult(labels=labels, Q=state.Q, fused_similarity=fused,
+    labels = kmeans(state.Q, config.n_clusters, seed=config.seed)
+    return ClusteringResult(labels=labels, Q=state.Q, fused_similarity=fuse_similarity(state.A),
                             weights=[w.copy() for w in state.w], trace=trace,
                             converged=converged, iterations=len(rows))

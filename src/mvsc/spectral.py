@@ -8,6 +8,10 @@ import scipy.linalg
 from .data import MultiViewDataset
 from .graph_ops import gaussian_affinity, laplacian
 
+KMEANS_RESTARTS = 10
+LLOYD_MAX_ITER = 300
+LLOYD_TOL = 1e-9  # stop once inertia falls by at most this fraction
+
 
 def _fix_signs(Q: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive.
@@ -47,8 +51,7 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300,
-          tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd iterations from given centers; returns (labels, centers, inertia history).
 
     An empty cluster is reseeded at the point farthest from its current
@@ -58,7 +61,7 @@ def lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300,
     centers = centers.copy()
     history: list[float] = []
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
         counts = np.bincount(labels, minlength=k)
@@ -75,13 +78,12 @@ def lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300,
         history.append(float(assign_d.sum()))
         for j in range(k):
             centers[j] = points[labels == j].mean(axis=0)
-        if len(history) >= 2 and history[-2] - history[-1] <= tol * max(history[-2], 1e-300):
+        if len(history) >= 2 and history[-2] - history[-1] <= LLOYD_TOL * max(history[-2], 1e-300):
             break
     return labels, centers, history
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, n_restarts: int = 10,
-           max_iter: int = 300, tol: float = 1e-9) -> np.ndarray:
+def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """k-means with distance-weighted seeding and best-of-restarts selection.
 
     Deterministic for a fixed seed; restart ties keep the earlier restart.
@@ -93,9 +95,9 @@ def kmeans(points: np.ndarray, k: int, seed: int, n_restarts: int = 10,
     rng = np.random.default_rng(seed)
     best_labels = None
     best_inertia = np.inf
-    for _ in range(n_restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = _plusplus_init(points, k, rng)
-        labels, _, history = lloyd(points, centers, max_iter=max_iter, tol=tol)
+        labels, _, history = lloyd(points, centers)
         if history[-1] < best_inertia:
             best_inertia = history[-1]
             best_labels = labels

@@ -26,11 +26,10 @@ SOLVER_SETTINGS = {
     "k_init": ("k_init", "3", 3),
     "ablation": ("ablation", "eq7", "uniform_weights"),
     "seed": ("seed", "5", 5),
-    "labels_from": ("labels_from", "graph", "graph"),
     "normalize": ("normalize", "minmax_per_feature", "minmax_per_feature"),
 }
 SETTING_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
-SETTING_DEFAULTS.update(labels_from="embedding", normalize="none")
+SETTING_DEFAULTS.update(normalize="none")
 
 
 def run(*argv):
@@ -44,6 +43,10 @@ def synth_dir(tmp_path_factory):
                "--seed", 1, "-o", out)
     assert code == 0
     return out
+
+
+def _no_solve(*_):
+    raise AssertionError("solve ran on a config that should have been rejected")
 
 
 def read_json(path):
@@ -130,6 +133,24 @@ class TestCluster:
         assert S.shape == (45, 45) and L.shape == (45, 45)
         assert np.abs(L.sum(axis=1)).max() <= 1e-9
 
+    def test_negative_seed_fails_before_solving(self, synth_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("mvsc.cli.solve", _no_solve)
+        assert run("cluster", synth_dir, "--clusters", 3, "--seed", -1,
+                   "-o", tmp_path / "x.json") == 1
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_labels_from_is_gone(self, synth_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("cluster", synth_dir, "--clusters", 3, "--labels-from", "graph",
+                "-o", tmp_path / "x.json")
+        assert exc.value.code == 2
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("labels_from = embedding\n")
+        assert run("cluster", synth_dir, "--clusters", 3, "--config", cfg,
+                   "-o", tmp_path / "x.json") == 1
+        assert "unknown config key 'labels_from'" in capsys.readouterr().err
+
     def test_bad_data_dir_fails(self, tmp_path):
         assert run("cluster", tmp_path / "missing", "--clusters", 3,
                    "-o", tmp_path / "x.json") != 0
@@ -180,6 +201,13 @@ class TestSweep:
         manifest = read_json(cluster_out)
         assert float(row[3]) == pytest.approx(manifest["metrics"]["acc"], abs=1e-4)
         assert int(row[8]) == manifest["iterations"]
+
+    def test_bad_grid_point_fails_before_solving(self, synth_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("mvsc.cli.solve", _no_solve)
+        out = tmp_path / "s.csv"
+        assert run("sweep", synth_dir, "--clusters", 3, "--lambda2=0.1,-1", "-o", out) == 1
+        assert "error: regularization weights must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requires_labels(self, synth_dir, tmp_path):
         unlabeled = tmp_path / "nolabels"
@@ -297,7 +325,7 @@ class TestOverrides:
         assert "error: ablation must be one of" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", [f.name for f in fields(SolverConfig)]
-                             + ["labels_from", "normalize"])
+                             + ["normalize"])
     def test_every_setting_reaches_manifest(self, synth_dir, tmp_path, name):
         key, value, echoed = SOLVER_SETTINGS[name]
         assert echoed != SETTING_DEFAULTS[name]

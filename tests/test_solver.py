@@ -23,6 +23,7 @@ from mvsc.solver import (
     update_w,
     update_z,
 )
+from mvsc.spectral import kmeans, smallest_eigvecs
 
 from conftest import make_random_dataset, make_random_state
 from oracles import simplex_qp_enumerate, spectral_norm_via_gram
@@ -48,6 +49,7 @@ class TestConfig:
         {"n_clusters": 3, "mu0": 10.0, "mu_max": 1.0},
         {"n_clusters": 3, "tol": 0.0},
         {"n_clusters": 3, "ablation": "bogus"},
+        {"n_clusters": 3, "seed": -1},
         *({"n_clusters": 3, name: float("nan")}
           for name in ("lambda1", "lambda2", "lambda3", "mu0", "rho", "mu_max", "tol")),
         *({"n_clusters": 3, name: float("inf")} for name in ("rho", "mu_max", "tol")),
@@ -535,20 +537,17 @@ class TestSolve:
         result = solve(ds, SolverConfig(n_clusters=2, max_iter=8, ablation=mode))
         assert len(seen) == result.iterations == 8
 
-    def test_labels_from_graph_path(self, rng, monkeypatch):
-        spec = SynthSpec(clusters=2, samples_per_cluster=10, view_dims=(4, 4), seed=4)
+    @pytest.mark.parametrize("mode", ["full", "uniform_weights", "no_spectral_norm"])
+    def test_fused_graph_relabels_q(self, mode):
+        # L(fused) = (1/V) sum_v L(A_v), the matrix whose bottom eigenvectors Q is,
+        # so spectral clustering of the fused graph would repeat k-means on Q
+        spec = SynthSpec(clusters=3, samples_per_cluster=10, view_dims=(4, 5), seed=3)
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
-        cfg = SolverConfig(n_clusters=2, max_iter=60)
-        result = solve(ds, cfg, labels_from="graph")
-        from mvsc.metrics import accuracy
-        assert accuracy(ds.labels, result.labels) >= 0.9
-
-        def no_blocks(*_):
-            raise AssertionError("solver ran before labels_from was checked")
-
-        monkeypatch.setattr("mvsc.solver.initialize", no_blocks)
-        with pytest.raises(ValueError, match="labels_from"):
-            solve(ds, cfg, labels_from="nowhere")
+        cfg = SolverConfig(n_clusters=3, max_iter=40, ablation=mode)
+        result = solve(ds, cfg)
+        Qg = smallest_eigvecs(laplacian(result.fused_similarity), cfg.n_clusters)
+        assert np.linalg.norm(result.Q @ result.Q.T - Qg @ Qg.T) <= 1e-10
+        assert np.array_equal(kmeans(Qg, cfg.n_clusters, seed=cfg.seed), result.labels)
 
     def test_k_init_one_below_sample_count(self):
         spec = SynthSpec(clusters=3, samples_per_cluster=10, view_dims=(4, 5), seed=2)
