@@ -199,6 +199,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     dataset = load_dataset(args.data_dir)
     start = time.perf_counter()
     ratio_cut = _bool_flag(args.ratio_cut)

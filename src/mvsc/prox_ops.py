@@ -5,11 +5,20 @@ ball) serves both projections: the row-batched simplex projection that pins
 each row's own coordinate (the self-affinity) to zero, and the l1-ball
 projection, through which the spectral-norm prox shrinks singular values.
 Elementwise soft-thresholding is the prox of the l1 norm.
+
+The spectral-norm prox changes only the singular values above its
+threshold, so given a hint of how many that is it works from the top-k
+eigenpairs of M^T M alone (the partial-SVD form of singular value
+thresholding, Cai, Candes & Shen 2010). The threshold from the top k is
+exact once the k-th value is at or below it; otherwise k doubles. Without a
+hint, or once k passes n/4, where a partial decomposition stops paying, it
+takes the full SVD.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 
 def _sort_threshold(u: np.ndarray, total: float) -> np.ndarray:
@@ -60,17 +69,44 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def prox_spectral_norm(M: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-    """Proximal map U of t*||.||_2 (largest singular value) at M, and ||U||_2.
+def prox_spectral_norm(M: np.ndarray, t: float,
+                       k_hint: int | None = None) -> tuple[np.ndarray, float, int]:
+    """Proximal map U of t*||.||_2 (largest singular value) at M, ||U||_2, and
+    how many singular values it clipped.
 
     By Moreau decomposition against the nuclear-norm ball, the singular
     values shrink by their projection onto the l1 ball of radius t:
-    M = P diag(s) Q^T maps to P diag(s - proj_l1ball(s, t)) Q^T. The shrunk
-    values min(s, theta) stay sorted, so the first is ||U||_2. At weight 0
-    the prox is the identity, which callers handle without an SVD.
+    M = P diag(s) Q^T maps to P diag(min(s, theta)) Q^T, where theta solves
+    sum(max(s - theta, 0)) = t. The clipped values are those above theta, and
+    ||U||_2 = theta when any is clipped. At weight 0 the prox is the
+    identity, which callers handle without an SVD.
+
+    ``k_hint`` (typically the previous call's clipped count) selects the
+    top-k path: the k = k_hint + 2 largest eigenpairs of M^T M give s and Q,
+    theta is computed from those k values, and the result is exact once the
+    smallest of them is <= theta, since the rest then lie below theta too;
+    otherwise k doubles. Then U = M - (M Q_a) diag(1 - theta/s_a) Q_a^T over
+    the clipped set a. With no hint, once k passes n/4 (n = M's column
+    count), or when the k values sum to at most t, it takes the full SVD.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    P, s, Qt = np.linalg.svd(np.asarray(M, dtype=float), full_matrices=False)
-    s_new = s - project_l1_ball(s, t)
-    return (P * s_new) @ Qt, float(s_new[0])
+    M = np.asarray(M, dtype=float)
+    n = M.shape[1]
+    k = n if k_hint is None else k_hint + 2  # no hint: straight to the full SVD
+    G = M.T @ M if 4 * k <= n else None
+    while 4 * k <= n:
+        lam, V = scipy.linalg.eigh(G, subset_by_index=(n - k, n - 1), driver="evr")
+        s = np.sqrt(np.maximum(lam[::-1], 0.0))
+        if s.sum() <= t:
+            break
+        theta = _sort_threshold(s[None, :], t)[0]
+        if s[-1] <= theta:
+            a = s > theta
+            Va = V[:, ::-1][:, a]
+            return M - ((M @ Va) * (1.0 - theta / s[a])) @ Va.T, float(theta), int(a.sum())
+        k *= 2
+    P, s, Qt = np.linalg.svd(M, full_matrices=False)
+    shrink = project_l1_ball(s, t)
+    s_new = s - shrink
+    return (P * s_new) @ Qt, float(s_new[0]), int(np.count_nonzero(shrink))

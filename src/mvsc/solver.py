@@ -82,6 +82,8 @@ class SolverState:
 
     Lists are indexed by view. ``gram_inv`` caches the inverse of
     X^T X + 2I per view; it depends only on the data, never on iterates.
+    ``clipped`` maps a view to how many singular values its last U-step
+    prox clipped, the next prox's hint; a view has no entry before its first.
     """
 
     Z: list[np.ndarray]
@@ -95,6 +97,7 @@ class SolverState:
     Q: np.ndarray
     mu: float
     gram_inv: list[np.ndarray] = field(default_factory=list, repr=False)
+    clipped: dict[int, int] = field(default_factory=dict)
 
     @property
     def n_views(self) -> int:
@@ -217,12 +220,13 @@ def update_q(state: SolverState) -> np.ndarray:
 
 def update_u(state: SolverState, config: SolverConfig, view: int) -> tuple[np.ndarray, float]:
     """Spectral-norm proximal step on Z + Lam2/mu at weight lambda2/mu: U and the
-    objective's U term lambda2 * ||U||_2. At weight 0 it is the identity, with no SVD."""
+    objective's U term lambda2 * ||U||_2. At weight 0 it is the identity, with no SVD.
+    The view's last clipped count is the prox's top-k hint, and the new count replaces it."""
     M = state.Z[view] + state.Lam2[view] / state.mu
     t = config.effective_lambda2 / state.mu
     if t == 0:
         return M, 0.0
-    U, norm = prox_spectral_norm(M, t)
+    U, norm, state.clipped[view] = prox_spectral_norm(M, t, state.clipped.get(view))
     return U, config.effective_lambda2 * norm
 
 
@@ -250,7 +254,7 @@ def update_w(state: SolverState, dataset: MultiViewDataset, config: SolverConfig
     if not varies.any():
         return state.w[view]
     L = laplacian(state.A[view])
-    y = np.einsum("ij,jk,ik->i", X, L, X)
+    y = ((X @ L) * X).sum(axis=1)
     inv = np.where(varies, 1.0 / np.maximum(y, 1e-12), 0.0)
     return inv / inv.sum()
 

@@ -84,7 +84,7 @@ def test_criterion_2_spectral_norm_prox():
         shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
         M = rng.standard_normal(shape) * rng.uniform(0.2, 4.0)
         t = float(rng.uniform(0.0, 1.2 * np.linalg.svd(M, compute_uv=False).sum()))
-        U, _ = prox_spectral_norm(M, t)
+        U, _, _ = prox_spectral_norm(M, t)
 
         P, s, Qt = np.linalg.svd(M, full_matrices=False)
         nuclear_proj = (P * project_l1_ball(s, t)) @ Qt

@@ -7,6 +7,7 @@ import pytest
 
 from mvsc.cli import main
 from mvsc.metrics import compute_metrics
+from mvsc.prox_ops import prox_spectral_norm
 from mvsc.solver import SolverConfig
 
 MANIFEST_KEYS = {"config", "dataset", "labels", "weights", "metrics",
@@ -151,6 +152,31 @@ class TestCluster:
                    "-o", tmp_path / "x.json") == 1
         assert "unknown config key 'labels_from'" in capsys.readouterr().err
 
+    def test_repeat_runs_identical_on_top_k_prox_path(self, tmp_path, monkeypatch):
+        # n = 150: after the first iterations the prox runs on the top-k path
+        data = tmp_path / "data"
+        assert run("synth", "--clusters", 3, "--per-cluster", 50, "--dims", "6,6,6",
+                   "--seed", 2, "-o", data) == 0
+        hints = []
+
+        def recorded(M, t, k_hint=None):
+            hints.append(k_hint)
+            return prox_spectral_norm(M, t, k_hint)
+
+        monkeypatch.setattr("mvsc.solver.prox_spectral_norm", recorded)
+        manifests, traces = [], []
+        for tag in ("a", "b"):
+            out = tmp_path / f"{tag}.json"
+            assert run("cluster", data, "--clusters", 3, "--normalize", "unit_l2_per_sample",
+                       "--max-iter", 30, "-o", out) == 0
+            manifest = read_json(out)
+            manifest.pop("timing")
+            manifests.append(manifest)
+            traces.append(out.with_suffix(".trace.csv").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert traces[0] == traces[1]
+        assert sum(h is not None and 4 * (h + 2) <= 150 for h in hints) > len(hints) // 2
+
     def test_bad_data_dir_fails(self, tmp_path):
         assert run("cluster", tmp_path / "missing", "--clusters", 3,
                    "-o", tmp_path / "x.json") != 0
@@ -174,6 +200,17 @@ class TestBaseline:
         with pytest.raises(SystemExit) as exc:
             run("baseline", synth_dir, "-o", tmp_path / "x.json")
         assert exc.value.code != 0
+
+    def test_negative_seed_fails_before_loading(self, synth_dir, tmp_path, monkeypatch, capsys):
+        def not_reached(*_, **__):
+            raise AssertionError("baseline went past a negative seed")
+
+        monkeypatch.setattr("mvsc.cli.load_dataset", not_reached)
+        monkeypatch.setattr("mvsc.cli.ncut_baseline", not_reached)
+        assert run("baseline", synth_dir, "--clusters", 3, "--seed", -1,
+                   "-o", tmp_path / "x.json") == 1
+        assert "error: --seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestSweep:

@@ -119,12 +119,12 @@ class TestSpectralNormProx:
         v = np.array([[0.0, 1.0]])
         M = 3.0 * (u @ v)
         # scalar subproblem min_s t|s| + 0.5 (s - 3)^2 has minimizer s = 2 at t = 1
-        out, _ = prox_spectral_norm(M, 1.0)
+        out, _, _ = prox_spectral_norm(M, 1.0)
         assert np.allclose(out, 2.0 * (u @ v), atol=1e-12)
 
     def test_diag_example_and_objective(self, rng):
         M = np.diag([5.0, 1.0])
-        out, _ = prox_spectral_norm(M, 2.0)
+        out, _, _ = prox_spectral_norm(M, 2.0)
         assert np.allclose(out, np.diag([3.0, 1.0]), atol=1e-10)
 
         def objective(U):
@@ -142,7 +142,7 @@ class TestSpectralNormProx:
             shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
             M = rng.standard_normal(shape) * rng.uniform(0.2, 5)
             t = float(rng.uniform(0, 1.5 * np.linalg.svd(M, compute_uv=False).sum()))
-            prox, _ = prox_spectral_norm(M, t)
+            prox, _, _ = prox_spectral_norm(M, t)
             P, s, Qt = np.linalg.svd(M, full_matrices=False)
             nuclear_ball = (P * project_l1_ball(s, t)) @ Qt
             assert np.abs(prox + nuclear_ball - M).max() <= 1e-8
@@ -159,7 +159,7 @@ class TestSpectralNormProx:
             shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
             M = rng.standard_normal(shape) * rng.uniform(0.2, 5)
             nuclear = np.linalg.svd(M, compute_uv=False).sum()
-            U, norm = prox_spectral_norm(M, float(rng.uniform(0, nuclear)))
+            U, norm, _ = prox_spectral_norm(M, float(rng.uniform(0, nuclear)))
             assert norm == pytest.approx(spectral_norm_via_gram(U), rel=1e-10)
             for t in (1.01 * nuclear, nuclear + 5.0):
                 assert prox_spectral_norm(M, t)[1] == 0.0
@@ -170,6 +170,108 @@ class TestSpectralNormProx:
         for t in (0.0, -1.0):
             with pytest.raises(ValueError, match="t must be positive"):
                 prox_spectral_norm(M, t)
+
+
+def low_rank_plus_noise(rng, shape, rank=3, noise=0.05):
+    return (rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+            + noise * rng.standard_normal(shape))
+
+
+def full_svd_prox(M, t):
+    """The prox, its norm and its clipped count, straight from the full spectrum."""
+    P, s, Qt = np.linalg.svd(M, full_matrices=False)
+    shrink = project_l1_ball(s, t)
+    return (P * (s - shrink)) @ Qt, float((s - shrink)[0]), int(np.count_nonzero(shrink))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the full SVDs and the eigh calls the prox makes."""
+    import numpy.linalg
+    import scipy.linalg
+
+    calls = {"svd": 0, "eigh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(numpy.linalg, "svd", counted("svd", numpy.linalg.svd))
+    monkeypatch.setattr(scipy.linalg, "eigh", counted("eigh", scipy.linalg.eigh))
+    return calls
+
+
+class TestSpectralNormProxTopK:
+    """The hinted path, on matrices large enough for it to run (k_hint + 2 <= n/4)."""
+
+    def assert_matches(self, got, want):
+        (U, norm, clipped), (U_ref, norm_ref, clipped_ref) = got, want
+        assert np.linalg.norm(U - U_ref) <= 1e-12 * np.linalg.norm(U_ref)
+        assert norm == pytest.approx(norm_ref, rel=1e-12)
+        assert clipped == clipped_ref
+
+    def test_matches_full_svd_when_few_values_clip(self, rng, kernel_calls):
+        for _ in range(20):
+            M = low_rank_plus_noise(rng, (120, 120))
+            s = np.linalg.svd(M, compute_uv=False)
+            t = float(rng.uniform(0.05, 1.0) * s[0])
+            want = full_svd_prox(M, t)
+            assert 1 <= want[2] <= 3
+            kernel_calls["svd"] = 0
+            self.assert_matches(prox_spectral_norm(M, t, k_hint=want[2]), want)
+            assert kernel_calls["svd"] == 0
+
+    def test_too_small_hint_doubles_k(self, rng, kernel_calls):
+        s = np.concatenate([[40.0, 30.0, 10.4, 10.3, 10.2, 10.1], rng.uniform(0, 1, 114)])
+        P, _ = np.linalg.qr(rng.standard_normal((120, 120)))
+        Q, _ = np.linalg.qr(rng.standard_normal((120, 120)))
+        M = (P * s) @ Q.T
+        t = float((s[:6] - 9.0).sum())  # theta = 9 clips six values
+        want = full_svd_prox(M, t)
+        assert want[1] == pytest.approx(9.0, rel=1e-12) and want[2] == 6
+        kernel_calls["svd"] = 0
+        # the top 2 and the top 4 sum above t but reach no value at or below
+        # their theta; the top 8 do
+        self.assert_matches(prox_spectral_norm(M, t, k_hint=0), want)
+        assert kernel_calls == {"svd": 0, "eigh": 3}
+
+    def test_hint_past_quarter_takes_full_svd(self, rng, kernel_calls):
+        M = low_rank_plus_noise(rng, (120, 120))
+        t = float(np.linalg.svd(M, compute_uv=False)[0])
+        kernel_calls["svd"] = 0
+        got = prox_spectral_norm(M, t, k_hint=29)  # k = 31 > 120/4
+        assert kernel_calls == {"svd": 1, "eigh": 0}
+        no_hint = prox_spectral_norm(M, t)
+        assert np.array_equal(got[0], no_hint[0]) and got[1:] == no_hint[1:]
+
+    def test_t_at_least_nuclear_norm_gives_zero(self, rng):
+        M = low_rank_plus_noise(rng, (120, 120))
+        s = np.linalg.svd(M, compute_uv=False)
+        # the top k = 5 values sum to at most t, so the full SVD decides
+        for t in (s.sum(), s.sum() + 5.0):
+            U, norm, clipped = prox_spectral_norm(M, t, k_hint=3)
+            assert np.all(U == 0.0) and norm == 0.0
+            assert clipped == 120
+        # likewise for a t between the top-5 sum and the nuclear norm
+        t = 1.01 * s[:5].sum()
+        self.assert_matches(prox_spectral_norm(M, t, k_hint=3), full_svd_prox(M, t))
+
+    @pytest.mark.parametrize("shape", [(150, 120), (90, 130)])
+    def test_rectangular(self, shape, rng, kernel_calls):
+        M = low_rank_plus_noise(rng, shape)
+        t = float(0.5 * np.linalg.svd(M, compute_uv=False)[0])
+        want = full_svd_prox(M, t)
+        kernel_calls["svd"] = 0
+        self.assert_matches(prox_spectral_norm(M, t, k_hint=want[2]), want)
+        assert kernel_calls["svd"] == 0
+
+    def test_repeated_calls_are_byte_identical(self, rng):
+        M = low_rank_plus_noise(rng, (120, 120))
+        t = float(0.5 * np.linalg.svd(M, compute_uv=False)[0])
+        (U1, n1, c1), (U2, n2, c2) = (prox_spectral_norm(M, t, k_hint=1) for _ in range(2))
+        assert U1.tobytes() == U2.tobytes() and (n1, c1) == (n2, c2)
 
 
 class TestL1BallProjection:

@@ -6,6 +6,7 @@ import scipy.optimize
 
 from mvsc.data import MultiViewDataset, SynthSpec, ViewMatrix, generate_synthetic, normalize
 from mvsc.graph_ops import knn_affinity, laplacian
+from mvsc.prox_ops import project_l1_ball
 from mvsc.solver import (
     ClusteringResult,
     SolverConfig,
@@ -250,6 +251,54 @@ class TestUpdateU:
             delta = rng.standard_normal(U.shape)
             delta /= np.linalg.norm(delta)
             assert base <= block_objective(U + 1e-3 * delta) + 1e-10
+
+    def test_without_hint_takes_full_svd(self, rng, monkeypatch):
+        ds = make_random_dataset(40, (3,), rng)
+        cfg = SolverConfig(n_clusters=2, lambda2=0.4, k_init=3)
+        state = make_random_state(ds, cfg, rng, mu=0.5)
+        assert state.clipped == {}
+        M = state.Z[0] + state.Lam2[0] / state.mu
+        P, s, Qt = np.linalg.svd(M, full_matrices=False)
+        shrink = project_l1_ball(s, cfg.lambda2 / state.mu)
+        U_full = (P * (s - shrink)) @ Qt
+
+        svd_calls = []
+        real_svd = np.linalg.svd
+
+        def counted_svd(*args, **kwargs):
+            svd_calls.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr("numpy.linalg.svd", counted_svd)
+        U, term = update_u(state, cfg, 0)
+        assert svd_calls == [(40, 40)]
+        assert np.abs(U - U_full).max() <= 1e-12 * np.abs(U_full).max()
+        assert term == pytest.approx(cfg.lambda2 * (s - shrink)[0], rel=1e-12)
+        assert state.clipped == {0: np.count_nonzero(shrink)}
+
+    def test_solver_counts_match_full_spectrum(self, monkeypatch):
+        # n = 120: the first counts pass n/4, later ones take the top-k path
+        spec = SynthSpec(clusters=3, samples_per_cluster=40, view_dims=(4, 5), seed=2)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        n = ds.n_samples
+        hinted = []
+
+        def checked(state, config, view):
+            M = state.Z[view] + state.Lam2[view] / state.mu
+            P, s, Qt = np.linalg.svd(M, full_matrices=False)
+            shrink = project_l1_ball(s, config.effective_lambda2 / state.mu)
+            hint = state.clipped.get(view)
+            U, term = update_u(state, config, view)
+            assert state.clipped[view] == np.count_nonzero(shrink)
+            U_full = (P * (s - shrink)) @ Qt
+            assert np.linalg.norm(U - U_full) <= 1e-9 * np.linalg.norm(U_full)
+            hinted.append(hint is not None and 4 * (hint + 2) <= n)
+            return U, term
+
+        monkeypatch.setattr("mvsc.solver.update_u", checked)
+        result = solve(ds, SolverConfig(n_clusters=3, max_iter=12))
+        assert result.iterations == 12 and len(hinted) == 24
+        assert sum(hinted) >= 12
 
 
 class TestUpdateE:
