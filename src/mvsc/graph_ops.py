@@ -1,13 +1,14 @@
 """Graph-side primitives: affinities, Laplacians, and similarity fusion.
 
 Dense matrices throughout; sample counts stay in the low thousands, so
-sparse storage buys nothing here.
+sparse storage buys nothing here. Every distance matrix is one Gram
+product of the row-centered features (``pairwise_sq_distances``), so its
+O(d n^2) work runs in BLAS.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 def laplacian(graph: np.ndarray) -> np.ndarray:
@@ -20,15 +21,39 @@ def laplacian(graph: np.ndarray) -> np.ndarray:
     G = np.asarray(graph, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"graph must be square, got shape {G.shape}")
-    sym = 0.5 * (G + G.T)
-    L = np.diag(sym.sum(axis=1)) - sym
+    # built in place as -sym plus the degrees on the diagonal: the same
+    # bits as diag(deg) - sym, without a second n x n matrix
+    L = G + G.T
+    L *= -0.5
+    L.flat[:: L.shape[0] + 1] -= L.sum(axis=1)
     return L
 
 
 def pairwise_sq_distances(X: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the columns of X (d x n)."""
+    """Squared Euclidean distances between the columns of X (d x n).
+
+    Gram form g_i + g_j - 2 y_i^T y_j, where Y is X with each feature row
+    centered: distances do not change under translation, and centering
+    keeps a large common offset from cancelling digits (uncentered, an
+    offset of 1e6 costs about 4). Y is scaled by sqrt(2) so that one BLAS
+    product gives 2 y_i^T y_j; numpy forms a product with its own
+    transpose as a symmetric one, and g_i + g_j is formed first, so D is
+    exactly symmetric. BLAS rounds the same dot product differently in
+    different blocks, so even an exact duplicate pair can come out slightly
+    off 0. Entries at or below the rounding bound 4 (d + 2) eps max(g)
+    carry no significant digit and are set to 0: this clamps D at 0 and
+    makes duplicates exactly 0 apart. The diagonal is 0.
+    """
     X = np.asarray(X, dtype=float)
-    return cdist(X.T, X.T, metric="sqeuclidean")
+    Y = X - X.mean(axis=1, keepdims=True)
+    Y *= np.sqrt(2.0)
+    G = Y.T @ Y
+    g = 0.5 * np.diag(G)
+    D = g[:, None] + g[None, :]
+    D -= G
+    D[D <= 4 * (X.shape[0] + 2) * np.finfo(float).eps * g.max(initial=0.0)] = 0.0
+    np.fill_diagonal(D, 0.0)
+    return D
 
 
 def weighted_sq_distances(X: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -43,9 +68,7 @@ def weighted_sq_distances(X: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise ValueError(f"weight length {w.size} does not match feature count {X.shape[0]}")
     if np.any(w < 0):
         raise ValueError("feature weights must be nonnegative")
-    D = pairwise_sq_distances(w[:, None] * X)
-    np.fill_diagonal(D, 0.0)
-    return D
+    return pairwise_sq_distances(w[:, None] * X)
 
 
 def fuse_similarity(Zs: list[np.ndarray]) -> np.ndarray:

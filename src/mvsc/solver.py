@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .data import MultiViewDataset
-from .graph_ops import fuse_similarity, knn_affinity, laplacian, pairwise_sq_distances, weighted_sq_distances
+from .graph_ops import fuse_similarity, knn_affinity, laplacian, weighted_sq_distances
+from .graph_ops import pairwise_sq_distances  # noqa: F401  (perfbench/tracer.py binds it here)
 from .prox_ops import _project_rows_simplex_zero_diag, prox_spectral_norm, soft_threshold
 from .spectral import kmeans, smallest_eigvecs
 
@@ -80,8 +80,10 @@ class SolverConfig:
 class SolverState:
     """All per-view blocks, the shared embedding, and the penalty.
 
-    Lists are indexed by view. ``gram_inv`` caches the inverse of
-    X^T X + 2I per view; it depends only on the data, never on iterates.
+    Lists are indexed by view. ``z_factor`` holds per view the n x r factor
+    W = V diag(s / sqrt(s^2 + 2)), r = min(d, n), of the thin SVD
+    X = P diag(s) V^T, so that (X^T X + 2I)^-1 = (I - W W^T) / 2; it depends
+    only on the data, never on iterates, and no n x n inverse is stored.
     ``clipped`` maps a view to how many singular values its last U-step
     prox clipped, the next prox's hint; a view has no entry before its first.
     """
@@ -96,7 +98,7 @@ class SolverState:
     w: list[np.ndarray]
     Q: np.ndarray
     mu: float
-    gram_inv: list[np.ndarray] = field(default_factory=list, repr=False)
+    z_factor: list[np.ndarray] = field(default_factory=list, repr=False)
     clipped: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -139,32 +141,65 @@ class ClusteringResult:
 
 
 def precompute_gram(dataset: MultiViewDataset) -> list[np.ndarray]:
-    """Inverse of X^T X + 2I per view, obtained from one Cholesky factorization.
+    """The Z-step factor W = V diag(s / sqrt(s^2 + 2)) per view, n x min(d, n).
 
-    The system matrix is SPD with eigenvalues >= 2, so applying the
-    explicit inverse is both stable and much cheaper per iteration than a
-    triangular solve against an n x n right-hand side.
+    From the thin SVD X = P diag(s) V^T, X^T X + 2I has eigenvalue s^2 + 2 on
+    V's columns and 2 on their complement, so its inverse is
+    (I - W W^T) / 2. One code path serves d < n and d >= n, and a
+    rank-deficient X only adds zero columns to W.
     """
-    inverses = []
+    factors = []
     for view in dataset.views:
-        X = view.values
-        n = X.shape[1]
-        G = X.T @ X + 2.0 * np.eye(n)
-        inverses.append(cho_solve(cho_factor(G), np.eye(n)))
-    return inverses
+        _, s, Vt = np.linalg.svd(view.values, full_matrices=False)
+        factors.append(Vt.T * (s / np.sqrt(s * s + 2.0)))
+    return factors
+
+
+_MEMORY_LIMIT_FILES = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+def _memory_budget() -> int | None:
+    """Bytes the process may still allocate: MemAvailable from /proc/meminfo,
+    or the cgroup memory limit when that is lower; None when neither is readable."""
+    budgets = []
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    budgets.append(int(line.split()[1]) * 1024)
+                    break
+    except (OSError, ValueError):
+        pass
+    for path in _MEMORY_LIMIT_FILES:
+        try:
+            with open(path, encoding="ascii") as fh:
+                budgets.append(int(fh.read()))  # "max" (no limit) fails int()
+        except (OSError, ValueError):
+            pass
+    return min(budgets) if budgets else None
 
 
 def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
     """Starting point: kNN graphs for Z = A = U, zero E and multipliers,
-    uniform feature weights, and Q from the summed initial-graph Laplacians."""
+    uniform feature weights, and Q from the Laplacian of the summed initial graphs.
+
+    The state holds, per view, five n x n float64 matrices (Z, A, U, Lam2,
+    Lam3) and the n x min(d, n) Z-step factor: 8 n (5 n + min(d, n)) bytes.
+    When the views' total exceeds ``_memory_budget()``, this raises
+    ValueError before allocating any n x n matrix.
+    """
     n = dataset.n_samples
     if not 1 <= config.k_init <= n - 1:
         raise ValueError(f"k_init must be in [1, {n - 1}], got {config.k_init}")
     if config.n_clusters > n:
         raise ValueError(f"n_clusters {config.n_clusters} exceeds sample count {n}")
+    needed = 8 * n * sum(5 * n + min(view.n_features, n) for view in dataset.views)
+    budget = _memory_budget()
+    if budget is not None and needed > budget:
+        raise ValueError(f"n = {n} samples need {needed} bytes of dense solver state, "
+                         f"more than the {budget} bytes of memory available")
 
     Z, A, U, E, Lam1, Lam2, Lam3, w = [], [], [], [], [], [], [], []
-    L_sum = np.zeros((n, n))
     for view in dataset.views:
         graph = knn_affinity(view.values, config.k_init)
         Z.append(graph.copy())
@@ -175,26 +210,29 @@ def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
         Lam2.append(np.zeros((n, n)))
         Lam3.append(np.zeros((n, n)))
         w.append(np.full(view.n_features, 1.0 / view.n_features))
-        L_sum += laplacian(graph)
-    Q = smallest_eigvecs(L_sum, config.n_clusters)
+    Q = smallest_eigvecs(laplacian(sum(A)), config.n_clusters)
 
     return SolverState(Z=Z, A=A, U=U, E=E, Lam1=Lam1, Lam2=Lam2, Lam3=Lam3,
-                       w=w, Q=Q, mu=config.mu0, gram_inv=precompute_gram(dataset))
+                       w=w, Q=Q, mu=config.mu0, z_factor=precompute_gram(dataset))
 
 
 def update_z(state: SolverState, dataset: MultiViewDataset, view: int) -> np.ndarray:
-    """Closed-form ridge system (X^T X + 2I) Z = X^T V1 + V2 + V3.
+    """Closed-form ridge system (X^T X + 2I) Z = R with R = X^T V1 + V2 + V3.
 
-    V1 = X - E + Lam1/mu, V2 = U - Lam2/mu, V3 = A - Lam3/mu; the cached
-    factorization-derived inverse is reused every iteration.
+    V1 = X - E + Lam1/mu, V2 = U - Lam2/mu, V3 = A - Lam3/mu; R is summed in
+    place. The solution (R - W (W^T R)) / 2 uses the view's cached factor W
+    (``precompute_gram``): two thin products, O(min(d, n) n^2).
     """
     X = dataset.views[view].values
+    W = state.z_factor[view]
     mu = state.mu
-    V1 = X - state.E[view] + state.Lam1[view] / mu
-    V2 = state.U[view] - state.Lam2[view] / mu
-    V3 = state.A[view] - state.Lam3[view] / mu
-    rhs = X.T @ V1 + V2 + V3
-    return state.gram_inv[view] @ rhs
+    rhs = X.T @ (X - state.E[view] + state.Lam1[view] / mu)
+    rhs += state.U[view]
+    rhs += state.A[view]
+    rhs -= (state.Lam2[view] + state.Lam3[view]) / mu
+    rhs -= W @ (W.T @ rhs)
+    rhs *= 0.5
+    return rhs
 
 
 def update_a(state: SolverState, dataset: MultiViewDataset, config: SolverConfig,
@@ -211,11 +249,9 @@ def update_a(state: SolverState, dataset: MultiViewDataset, config: SolverConfig
 
 
 def update_q(state: SolverState) -> np.ndarray:
-    """Shared embedding: the c bottom eigenvectors of the summed graph Laplacians."""
-    L_sum = laplacian(state.A[0])
-    for A in state.A[1:]:
-        L_sum += laplacian(A)
-    return smallest_eigvecs(L_sum, state.Q.shape[1])
+    """Shared embedding: the c bottom eigenvectors of the summed graph Laplacians,
+    taken as the Laplacian of the summed graphs (L is linear in the graph)."""
+    return smallest_eigvecs(laplacian(sum(state.A)), state.Q.shape[1])
 
 
 def update_u(state: SolverState, config: SolverConfig, view: int) -> tuple[np.ndarray, float]:
@@ -269,9 +305,11 @@ def constraint_gaps(state: SolverState, dataset: MultiViewDataset,
 
 def graph_cost(X: np.ndarray, w: np.ndarray, Q: np.ndarray, lambda1: float) -> np.ndarray:
     """Edge costs of the graph terms: weighted feature distances plus lambda1
-    times embedding distances. sum(graph_cost * A) is the objective's
-    distance term plus 2 lambda1 tr(Q^T L_A Q)."""
-    return weighted_sq_distances(X, w) + lambda1 * pairwise_sq_distances(Q.T)
+    times embedding distances, as one weighted distance matrix over X stacked
+    on Q^T, whose rows take weight sqrt(lambda1). sum(graph_cost * A) is the
+    objective's distance term plus 2 lambda1 tr(Q^T L_A Q)."""
+    weights = np.concatenate([w, np.full(Q.shape[1], np.sqrt(lambda1))])
+    return weighted_sq_distances(np.vstack([X, Q.T]), weights)
 
 
 def update_multipliers(state: SolverState, dataset: MultiViewDataset,

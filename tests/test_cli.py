@@ -141,6 +141,13 @@ class TestCluster:
         assert "error: seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_dense_state_over_budget_is_reported(self, synth_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("mvsc.solver._memory_budget", lambda: 1000)
+        assert run("cluster", synth_dir, "--clusters", 3, "-o", tmp_path / "x.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n = 45 samples need ") and "1000 bytes" in err
+        assert not (tmp_path / "x.json").exists()
+
     def test_labels_from_is_gone(self, synth_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run("cluster", synth_dir, "--clusters", 3, "--labels-from", "graph",

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from mvsc.graph_ops import (
     fuse_similarity,
     gaussian_affinity,
     knn_affinity,
     laplacian,
+    pairwise_sq_distances,
     weighted_sq_distances,
 )
 
@@ -46,6 +48,34 @@ class TestLaplacian:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             laplacian(np.zeros((2, 3)))
+
+    def test_bit_identical_to_degree_minus_sym(self, rng):
+        for n in (1, 2, 7, 40):
+            G = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-6, 6, size=(n, n))
+            sym = 0.5 * (G + G.T)
+            assert np.array_equal(laplacian(G), np.diag(sym.sum(axis=1)) - sym)
+
+
+class TestPairwiseSqDistances:
+    @pytest.mark.parametrize("shape", [(4, 30), (30, 30), (60, 33)])
+    @pytest.mark.parametrize("case", ["random", "offset", "duplicate", "near_duplicate"])
+    def test_matches_cdist(self, case, shape, rng):
+        X = rng.standard_normal(shape)
+        half = shape[1] // 2
+        if case == "offset":
+            X += 1e6
+        elif case == "duplicate":
+            X[:, half:2 * half] = X[:, :half]  # pairs spread over the BLAS blocks
+        elif case == "near_duplicate":
+            X[:, -1] = X[:, 0] + 1e-7 * rng.standard_normal(shape[0])
+        D = pairwise_sq_distances(X)
+        want = cdist(X.T, X.T, metric="sqeuclidean")
+        assert np.abs(D - want).max() <= 1e-12 * want.max()
+        assert D.min() >= 0.0
+        assert np.all(np.diag(D) == 0.0)
+        assert np.array_equal(D, D.T)
+        if case == "duplicate":
+            assert np.all(D[np.arange(half), np.arange(half, 2 * half)] == 0.0)
 
 
 class TestWeightedSqDistances:

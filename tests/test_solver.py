@@ -99,6 +99,29 @@ class TestInitialize:
         with pytest.raises(ValueError):
             initialize(ds, SolverConfig(n_clusters=6, k_init=2))
 
+    def test_dense_state_over_budget_fails_before_allocating(self, rng, monkeypatch):
+        n = 10
+        ds = make_random_dataset(n, (3, 14), rng)
+        needed = 8 * n * ((5 * n + 3) + (5 * n + 10))
+
+        def no_graph(*_):
+            raise AssertionError("an n x n matrix was built before the memory check")
+
+        monkeypatch.setattr("mvsc.solver._memory_budget", lambda: needed - 1)
+        monkeypatch.setattr("mvsc.solver.knn_affinity", no_graph)
+        with pytest.raises(ValueError) as exc:
+            initialize(ds, SolverConfig(n_clusters=2, k_init=3))
+        message = str(exc.value)
+        assert f"n = {n}" in message and str(needed) in message and str(needed - 1) in message
+
+    @pytest.mark.parametrize("budget", ["exact", None])
+    def test_dense_state_within_budget_or_unknown_runs(self, budget, rng, monkeypatch):
+        ds = make_random_dataset(10, (3, 14), rng)
+        needed = 8 * 10 * ((5 * 10 + 3) + (5 * 10 + 10))
+        monkeypatch.setattr("mvsc.solver._memory_budget",
+                            lambda: needed if budget == "exact" else None)
+        assert initialize(ds, SolverConfig(n_clusters=2, k_init=3)).Q.shape == (10, 2)
+
 
 class TestUpdateZ:
     def test_zero_data_averages_pulls(self, rng):
@@ -138,6 +161,38 @@ class TestUpdateZ:
                    + state.A[0] - state.Lam3[0] / mu)
             residual = np.linalg.norm((X.T @ X + 2 * np.eye(6)) @ Z - rhs)
             assert residual <= 1e-10
+
+    @pytest.mark.parametrize("case", ["d<n", "d=n", "d>n", "repeated_rows", "zero_view"])
+    def test_residual_and_factor_shape(self, case, rng):
+        n = 9
+        d = {"d<n": 4, "d=n": 9, "d>n": 15, "repeated_rows": 8, "zero_view": 5}[case]
+        ds = make_random_dataset(n, (d,), rng)
+        X = ds.views[0].values
+        if case == "repeated_rows":
+            X[4:] = X[:4]  # rank 4: every feature row appears twice
+        elif case == "zero_view":
+            X[:] = 0.0
+        state = make_random_state(ds, SolverConfig(n_clusters=2, k_init=2), rng)
+        assert state.z_factor[0].shape == (n, min(d, n))
+        mu = state.mu
+        Z = update_z(state, ds, 0)
+        rhs = (X.T @ (X - state.E[0] + state.Lam1[0] / mu)
+               + state.U[0] - state.Lam2[0] / mu
+               + state.A[0] - state.Lam3[0] / mu)
+        assert np.linalg.norm((X.T @ X + 2 * np.eye(n)) @ Z - rhs) <= 1e-10
+
+    def test_matches_explicit_inverse(self, rng):
+        for dims in ((3, 12), (12,), (30,)):
+            ds = make_random_dataset(12, dims, rng)
+            state = make_random_state(ds, SolverConfig(n_clusters=2, k_init=2), rng)
+            for v, view in enumerate(ds.views):
+                X = view.values
+                mu = state.mu
+                rhs = (X.T @ (X - state.E[v] + state.Lam1[v] / mu)
+                       + state.U[v] - state.Lam2[v] / mu
+                       + state.A[v] - state.Lam3[v] / mu)
+                want = np.linalg.inv(X.T @ X + 2 * np.eye(12)) @ rhs
+                assert np.linalg.norm(update_z(state, ds, v) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestUpdateA:
