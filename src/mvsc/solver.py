@@ -210,7 +210,7 @@ def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
         Lam2.append(np.zeros((n, n)))
         Lam3.append(np.zeros((n, n)))
         w.append(np.full(view.n_features, 1.0 / view.n_features))
-    Q = smallest_eigvecs(laplacian(sum(A)), config.n_clusters)
+    _, Q = smallest_eigvecs(laplacian(sum(A)), config.n_clusters)
 
     return SolverState(Z=Z, A=A, U=U, E=E, Lam1=Lam1, Lam2=Lam2, Lam3=Lam3,
                        w=w, Q=Q, mu=config.mu0, z_factor=precompute_gram(dataset))
@@ -248,10 +248,12 @@ def update_a(state: SolverState, dataset: MultiViewDataset, config: SolverConfig
     return _project_rows_simplex_zero_diag(-D / mu)
 
 
-def update_q(state: SolverState) -> np.ndarray:
+def update_q(state: SolverState) -> tuple[np.ndarray, float]:
     """Shared embedding: the c bottom eigenvectors of the summed graph Laplacians,
-    taken as the Laplacian of the summed graphs (L is linear in the graph)."""
-    return smallest_eigvecs(laplacian(sum(state.A)), state.Q.shape[1])
+    taken as the Laplacian of the summed graphs (L is linear in the graph), and
+    the sum of their c eigenvalues, sum_v tr(Q^T L(A_v) Q) at the returned Q."""
+    values, Q = smallest_eigvecs(laplacian(sum(state.A)), state.Q.shape[1])
+    return Q, float(values.sum())
 
 
 def update_u(state: SolverState, config: SolverConfig, view: int) -> tuple[np.ndarray, float]:
@@ -275,24 +277,24 @@ def update_e(state: SolverState, dataset: MultiViewDataset, config: SolverConfig
 
 
 def update_w(state: SolverState, dataset: MultiViewDataset, config: SolverConfig,
-             view: int) -> np.ndarray:
-    """Feature weights inversely proportional to each feature's graph energy.
+             view: int) -> tuple[np.ndarray, float]:
+    """Feature weights inversely proportional to each feature's graph energy, and
+    the objective's distance term sum_ij A_ij sum_k w_k^2 (x_ki - x_kj)^2 at them.
 
     y_k = [X L_A X^T]_kk measures how much feature k varies across the
     learned graph's edges; minimizing sum_k w_k^2 y_k on the simplex gives
     w_k proportional to 1/y_k; a constant feature gets weight 0, and a view
-    of constant features only keeps its weights. Frozen in the ablation modes.
+    of constant features only keeps its weights. The distance term is
+    2 sum_k w_k^2 y_k, so the ablation modes, which freeze w, still compute y.
     """
-    if not config.learn_weights:
-        return state.w[view]
     X = dataset.views[view].values
+    y = ((X @ laplacian(state.A[view])) * X).sum(axis=1)
+    w = state.w[view]
     varies = np.ptp(X, axis=1) > 0
-    if not varies.any():
-        return state.w[view]
-    L = laplacian(state.A[view])
-    y = ((X @ L) * X).sum(axis=1)
-    inv = np.where(varies, 1.0 / np.maximum(y, 1e-12), 0.0)
-    return inv / inv.sum()
+    if config.learn_weights and varies.any():
+        inv = np.where(varies, 1.0 / np.maximum(y, 1e-12), 0.0)
+        w = inv / inv.sum()
+    return w, 2.0 * float((w * w) @ y)
 
 
 def constraint_gaps(state: SolverState, dataset: MultiViewDataset,
@@ -306,18 +308,20 @@ def constraint_gaps(state: SolverState, dataset: MultiViewDataset,
 def graph_cost(X: np.ndarray, w: np.ndarray, Q: np.ndarray, lambda1: float) -> np.ndarray:
     """Edge costs of the graph terms: weighted feature distances plus lambda1
     times embedding distances, as one weighted distance matrix over X stacked
-    on Q^T, whose rows take weight sqrt(lambda1). sum(graph_cost * A) is the
-    objective's distance term plus 2 lambda1 tr(Q^T L_A Q)."""
+    on Q^T, whose rows take weight sqrt(lambda1). For update_a and the explicit
+    augmented_lagrangian: sum(graph_cost * A) is the distance plus embedding term."""
     weights = np.concatenate([w, np.full(Q.shape[1], np.sqrt(lambda1))])
     return weighted_sq_distances(np.vstack([X, Q.T]), weights)
 
 
 def update_multipliers(state: SolverState, dataset: MultiViewDataset,
-                       view: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dual ascent on the three constraint gaps at step size mu."""
-    g1, g2, g3 = constraint_gaps(state, dataset, view)
-    mu = state.mu
-    return state.Lam1[view] + mu * g1, state.Lam2[view] + mu * g2, state.Lam3[view] + mu * g3
+                       view: int) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
+    """Dual ascent on the three constraint gaps at step size mu: the new
+    (Lam1, Lam2, Lam3) and the gaps' max-abs entries (r_recon, r_u, r_a)."""
+    gaps = constraint_gaps(state, dataset, view)
+    lams = (state.Lam1[view], state.Lam2[view], state.Lam3[view])
+    return (tuple(lam + state.mu * g for lam, g in zip(lams, gaps)),
+            tuple(float(np.abs(g).max()) for g in gaps))
 
 
 def step_mu(state: SolverState, config: SolverConfig) -> float:
@@ -325,33 +329,26 @@ def step_mu(state: SolverState, config: SolverConfig) -> float:
     return min(config.rho * state.mu, config.mu_max)
 
 
-def evaluate_objective(state: SolverState, dataset: MultiViewDataset, config: SolverConfig,
-                       u_terms: list[float]) -> tuple[float, float, float, float]:
-    """Model objective at the current split variables, plus the three
-    constraint gaps in max-abs-entry norm. ``u_terms[v]`` is the U term
-    lambda2 * ||U_v||_2, as the update_u that produced U_v returned it."""
-    obj = 0.0
-    r_recon = r_u = r_a = 0.0
-    for v, view in enumerate(dataset.views):
-        cost = graph_cost(view.values, state.w[v], state.Q, config.lambda1)
-        obj += float((cost * state.A[v]).sum())
-        obj += u_terms[v]
-        obj += config.lambda3 * float(np.abs(state.E[v]).sum())
-        g1, g2, g3 = constraint_gaps(state, dataset, v)
-        r_recon = max(r_recon, float(np.abs(g1).max()))
-        r_u = max(r_u, float(np.abs(g2).max()))
-        r_a = max(r_a, float(np.abs(g3).max()))
-    return obj, r_recon, r_u, r_a
+def evaluate_objective(state: SolverState, config: SolverConfig, view_terms: list[float],
+                       eigenvalue_sum: float) -> float:
+    """Model objective in O(d n) from the terms the blocks returned: ``view_terms[v]``
+    is view v's distance term (update_w) plus its U term lambda2 ||U_v||_2 (update_u);
+    the embedding term sum_v lambda1 sum_ij A_v,ij ||q_i - q_j||^2 is 2 lambda1 times
+    update_q's ``eigenvalue_sum``; the sparse-error term is read off E."""
+    return (sum(view_terms) + 2.0 * config.lambda1 * eigenvalue_sum
+            + config.lambda3 * sum(float(np.abs(E).sum()) for E in state.E))
 
 
 def augmented_lagrangian(state: SolverState, dataset: MultiViewDataset,
                          config: SolverConfig) -> float:
     """Full penalized Lagrangian: objective + multiplier couplings +
-    (mu/2) times the squared constraint gaps. The quantity every block
-    update must not increase."""
-    u_terms = [config.effective_lambda2 * float(np.linalg.norm(U, 2)) for U in state.U]
-    total, _, _, _ = evaluate_objective(state, dataset, config, u_terms)
-    for v in range(state.n_views):
+    (mu/2) times the squared constraint gaps, each term built explicitly from
+    the state. The quantity every block update must not increase."""
+    total = 0.0
+    for v, view in enumerate(dataset.views):
+        cost = graph_cost(view.values, state.w[v], state.Q, config.lambda1)
+        total += float((cost * state.A[v]).sum()) + config.lambda3 * float(np.abs(state.E[v]).sum())
+        total += config.effective_lambda2 * float(np.linalg.norm(state.U[v], 2))
         lams = (state.Lam1[v], state.Lam2[v], state.Lam3[v])
         for lam, g in zip(lams, constraint_gaps(state, dataset, v)):
             total += float((lam * g).sum()) + 0.5 * state.mu * float((g * g).sum())
@@ -370,20 +367,22 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
     state = initialize(dataset, config)
     rows: list[tuple[float, float, float, float, float]] = []
     converged = False
-    u_terms = [0.0] * state.n_views
+    view_terms, gaps = [0.0] * state.n_views, [None] * state.n_views
 
     for _ in range(config.max_iter):
         for v in range(state.n_views):
             state.Z[v] = update_z(state, dataset, v)
             state.A[v] = update_a(state, dataset, config, v)
-            state.U[v], u_terms[v] = update_u(state, config, v)
+            state.U[v], u_term = update_u(state, config, v)
             state.E[v] = update_e(state, dataset, config, v)
-            state.w[v] = update_w(state, dataset, config, v)
-            state.Lam1[v], state.Lam2[v], state.Lam3[v] = update_multipliers(state, dataset, v)
-        state.Q = update_q(state)
-        obj, r_recon, r_u, r_a = evaluate_objective(state, dataset, config, u_terms)
-        rows.append((obj, r_recon, r_u, r_a, state.mu))
-        if max(r_recon, r_u, r_a) < config.tol:
+            state.w[v], view_terms[v] = update_w(state, dataset, config, v)
+            view_terms[v] += u_term
+            lams, gaps[v] = update_multipliers(state, dataset, v)
+            state.Lam1[v], state.Lam2[v], state.Lam3[v] = lams
+        state.Q, eig_sum = update_q(state)
+        worst = np.max(gaps, axis=0)  # r_recon, r_u, r_a: each gap's maximum over the views
+        rows.append((evaluate_objective(state, config, view_terms, eig_sum), *worst, state.mu))
+        if worst.max() < config.tol:
             converged = True
             break
         state.mu = step_mu(state, config)

@@ -25,14 +25,15 @@ def _fix_signs(Q: np.ndarray) -> np.ndarray:
     return Q * signs
 
 
-def smallest_eigvecs(L: np.ndarray, c: int) -> np.ndarray:
-    """Orthonormal eigenvectors of the c smallest eigenvalues, ascending."""
+def smallest_eigvecs(L: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The c smallest eigenvalues, ascending, and their orthonormal eigenvectors,
+    as ``(values, Q)`` in the order ``eigh`` returns them."""
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"c must be in [1, {n}], got {c}")
-    _, Q = scipy.linalg.eigh(L, subset_by_index=(0, c - 1))
-    return _fix_signs(Q)
+    values, Q = scipy.linalg.eigh(L, subset_by_index=(0, c - 1))
+    return values, _fix_signs(Q)
 
 
 def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -115,10 +116,9 @@ def ncut_baseline(dataset: MultiViewDataset, c: int, seed: int,
     """
     X = np.vstack([v.values for v in dataset.views])
     S = gaussian_affinity(X, sigma=1.0)
-    S = 0.5 * (S + S.T)
     if ratio_cut:
         L = laplacian(S)
-        Q = smallest_eigvecs(L, c)
+        _, Q = smallest_eigvecs(L, c)
     else:
         deg = S.sum(axis=1)
         inv_sqrt = np.zeros_like(deg)
@@ -127,7 +127,7 @@ def ncut_baseline(dataset: MultiViewDataset, c: int, seed: int,
         # zero-degree samples keep an identity row in L
         L = np.eye(S.shape[0]) - (inv_sqrt[:, None] * S) * inv_sqrt[None, :]
         L = 0.5 * (L + L.T)
-        Q = smallest_eigvecs(L, c)
+        _, Q = smallest_eigvecs(L, c)
         norms = np.linalg.norm(Q, axis=1, keepdims=True)
         Q = np.divide(Q, norms, out=Q.copy(), where=norms > 0)
     return kmeans(Q, c, seed=seed)

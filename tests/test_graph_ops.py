@@ -208,6 +208,9 @@ class TestGaussianAffinity:
         A = gaussian_affinity(X, sigma=1.5)
         row = A[0, 1:]
         assert np.all(np.diff(row) < 0)
+        # bit-symmetric on generic data too, so ncut_baseline need not symmetrize
+        B = gaussian_affinity(np.random.default_rng(3).standard_normal((6, 40)) + 100.0, sigma=1.5)
+        assert np.array_equal(B, B.T)
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 import copy
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+import mvsc.solver
 from mvsc.data import MultiViewDataset, SynthSpec, ViewMatrix, generate_synthetic, normalize
 from mvsc.graph_ops import knn_affinity, laplacian
 from mvsc.prox_ops import project_l1_ball
@@ -256,16 +259,18 @@ class TestUpdateQ:
                 others = [j for j in idx if j != i]
                 A[i, others] = 1.0 / len(others)
         state.A = [A.copy(), A.copy()]
-        Q = update_q(state)
+        Q, _ = update_q(state)
         M = sum(laplacian(a) for a in state.A)
         assert abs(np.trace(Q.T @ M @ Q)) <= 1e-8
 
     def test_trace_matches_full_spectrum(self, small_problem):
         ds, cfg, state = small_problem
-        Q = update_q(state)
+        Q, eigenvalue_sum = update_q(state)
         M = sum(laplacian(a) for a in state.A)
         want = np.sort(np.linalg.eigvalsh(M))[: cfg.n_clusters].sum()
         assert np.trace(Q.T @ M @ Q) == pytest.approx(want, abs=1e-8)
+        assert eigenvalue_sum == pytest.approx(np.trace(Q.T @ M @ Q), abs=1e-8)
+        assert eigenvalue_sum == pytest.approx(want, abs=1e-8)
         assert np.linalg.norm(Q.T @ Q - np.eye(cfg.n_clusters)) <= 1e-9
 
 
@@ -390,7 +395,7 @@ class TestUpdateW:
         cfg = SolverConfig(n_clusters=2, k_init=1)
         state = make_random_state(ds, cfg, rng)
         state.A[0] = np.array([[0.0, 1.0], [1.0, 0.0]])
-        w = update_w(state, ds, cfg, 0)
+        w, _ = update_w(state, ds, cfg, 0)
         assert np.allclose(w, [0.5, 0.5], atol=1e-12)
 
     def test_analytic_inverse_energies(self, rng):
@@ -400,12 +405,12 @@ class TestUpdateW:
         cfg = SolverConfig(n_clusters=2, k_init=1)
         state = make_random_state(ds, cfg, rng)
         state.A[0] = np.array([[0.0, 1.0], [1.0, 0.0]])
-        w = update_w(state, ds, cfg, 0)
+        w, _ = update_w(state, ds, cfg, 0)
         assert np.allclose(w, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_matches_constrained_optimizer(self, small_problem):
         ds, cfg, state = small_problem
-        w = update_w(state, ds, cfg, 0)
+        w, _ = update_w(state, ds, cfg, 0)
         X = ds.views[0].values
         L = laplacian(state.A[0])
         y = np.maximum(np.einsum("ij,jk,ik->i", X, L, X), 1e-12)
@@ -426,14 +431,14 @@ class TestUpdateW:
         ds, cfg, state = small_problem
         X = ds.views[0].values
         padded = MultiViewDataset(views=(ViewMatrix(np.vstack([X, np.full(X.shape[1], value)]), 0),))
-        want = np.append(update_w(state, ds, cfg, 0), 0.0)
-        assert np.abs(update_w(state, padded, cfg, 0) - want).max() <= 1e-12
+        want = np.append(update_w(state, ds, cfg, 0)[0], 0.0)
+        assert np.abs(update_w(state, padded, cfg, 0)[0] - want).max() <= 1e-12
 
     def test_all_constant_view_keeps_weights(self, rng):
         ds = MultiViewDataset(views=(ViewMatrix(np.full((3, 6), 0.5), 0),))
         cfg = SolverConfig(n_clusters=2, k_init=2)
         state = make_random_state(ds, cfg, rng)
-        assert np.array_equal(update_w(state, ds, cfg, 0), state.w[0])
+        assert np.array_equal(update_w(state, ds, cfg, 0)[0], state.w[0])
 
     def test_frozen_in_ablation_modes(self, rng):
         ds = make_random_dataset(6, (4,), rng)
@@ -441,7 +446,7 @@ class TestUpdateW:
             cfg = SolverConfig(n_clusters=2, k_init=2, ablation=mode)
             state = make_random_state(ds, cfg, rng)
             state.w[0] = np.full(4, 0.25)
-            assert np.array_equal(update_w(state, ds, cfg, 0), state.w[0])
+            assert np.array_equal(update_w(state, ds, cfg, 0)[0], state.w[0])
 
 
 class TestMultipliersAndMu:
@@ -453,7 +458,7 @@ class TestMultipliersAndMu:
         state.U[0] = state.Z[0].copy()
         state.A[0] = state.Z[0].copy()
         state.E[0] = X - X @ state.Z[0]
-        l1, l2, l3 = update_multipliers(state, ds, 0)
+        (l1, l2, l3), _ = update_multipliers(state, ds, 0)
         assert np.allclose(l1, state.Lam1[0], atol=1e-12)
         assert np.allclose(l2, state.Lam2[0], atol=1e-12)
         assert np.allclose(l3, state.Lam3[0], atol=1e-12)
@@ -463,14 +468,19 @@ class TestMultipliersAndMu:
         cfg = SolverConfig(n_clusters=2, k_init=1)
         state = make_random_state(ds, cfg, rng, mu=2.0)
         X = ds.views[0].values
+        _, gaps = update_multipliers(state, ds, 0)
+        assert gaps == (np.abs(X - X @ state.Z[0] - state.E[0]).max(),
+                        np.abs(state.Z[0] - state.U[0]).max(),
+                        np.abs(state.Z[0] - state.A[0]).max())
         state.Lam1[0][:] = 0.0
         state.Lam2[0][:] = 0.0
         state.Lam3[0][:] = 0.0
         state.U[0] = state.Z[0] - 1.0  # Z - U = all-ones
         state.A[0] = state.Z[0].copy()
         state.E[0] = X - X @ state.Z[0]
-        _, l2, _ = update_multipliers(state, ds, 0)
+        (_, l2, _), gaps = update_multipliers(state, ds, 0)
         assert np.allclose(l2, 2.0, atol=1e-12)
+        assert gaps == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
 
     def test_mu_schedule(self):
         cfg = SolverConfig(n_clusters=2, mu0=1e-3, rho=1.1, mu_max=1e6)
@@ -485,6 +495,43 @@ class TestMultipliersAndMu:
             assert state.mu == pytest.approx(1e-3 * 1.1 ** k, rel=1e-14)
 
 
+def brute_force_objective(state, dataset, config):
+    """The model objective at ``state`` by loops over sample pairs and
+    features, with ||U||_2 from the Gram matrix's eigenvalues."""
+    want = 0.0
+    for v, view in enumerate(dataset.views):
+        X = view.values
+        w = state.w[v]
+        n = X.shape[1]
+        dist_term = sum(
+            state.A[v][i, j] * sum(
+                (w[k] * (X[k, i] - X[k, j])) ** 2 for k in range(X.shape[0])
+            )
+            for i in range(n)
+            for j in range(n)
+        )
+        embed_term = config.lambda1 * sum(
+            state.A[v][i, j] * np.sum((state.Q[i] - state.Q[j]) ** 2)
+            for i in range(n)
+            for j in range(n)
+        )
+        want += dist_term + embed_term
+        want += config.effective_lambda2 * spectral_norm_via_gram(state.U[v])
+        want += config.lambda3 * np.abs(state.E[v]).sum()
+    return want
+
+
+def objective_from_blocks(state, dataset, config):
+    """evaluate_objective fed as solve feeds it: w and Q replaced by their
+    blocks' results, with the terms those blocks return."""
+    view_terms = []
+    for v in range(state.n_views):
+        state.w[v], dist_term = update_w(state, dataset, config, v)
+        view_terms.append(dist_term + config.effective_lambda2 * spectral_norm_via_gram(state.U[v]))
+    state.Q, eigenvalue_sum = update_q(state)
+    return evaluate_objective(state, config, view_terms, eigenvalue_sum)
+
+
 class TestObjective:
     def test_degenerate_zero_state(self, rng):
         ds = make_random_dataset(5, (3,), rng)
@@ -494,41 +541,13 @@ class TestObjective:
             state.A[v][:] = 0.0
             state.E[v][:] = 0.0
             state.U[v][:] = 0.0
-        terms = [cfg.effective_lambda2 * spectral_norm_via_gram(U) for U in state.U]
-        obj, _, _, _ = evaluate_objective(state, ds, cfg, terms)
+        obj = objective_from_blocks(state, ds, cfg)
         assert obj == pytest.approx(0.0, abs=1e-14)
 
     def test_termwise_recomputation(self, small_problem):
         ds, cfg, state = small_problem
-        terms = [cfg.effective_lambda2 * spectral_norm_via_gram(U) for U in state.U]
-        obj, r_recon, r_u, r_a = evaluate_objective(state, ds, cfg, terms)
-        want = 0.0
-        for v, view in enumerate(ds.views):
-            X = view.values
-            w = state.w[v]
-            n = X.shape[1]
-            dist_term = sum(
-                state.A[v][i, j] * sum(
-                    (w[k] * (X[k, i] - X[k, j])) ** 2 for k in range(X.shape[0])
-                )
-                for i in range(n)
-                for j in range(n)
-            )
-            embed_term = cfg.lambda1 * sum(
-                state.A[v][i, j] * np.sum((state.Q[i] - state.Q[j]) ** 2)
-                for i in range(n)
-                for j in range(n)
-            )
-            want += dist_term + embed_term
-            want += cfg.lambda2 * spectral_norm_via_gram(state.U[v])
-            want += cfg.lambda3 * np.abs(state.E[v]).sum()
-        assert obj == pytest.approx(want, rel=1e-10)
-        assert r_recon == max(
-            np.abs(v.values - v.values @ state.Z[i] - state.E[i]).max()
-            for i, v in enumerate(ds.views)
-        )
-        assert r_u == max(np.abs(state.Z[i] - state.U[i]).max() for i in range(2))
-        assert r_a == max(np.abs(state.Z[i] - state.A[i]).max() for i in range(2))
+        obj = objective_from_blocks(state, ds, cfg)
+        assert obj == pytest.approx(brute_force_objective(state, ds, cfg), rel=1e-10)
 
 
 BLOCKS = ["z", "a", "q", "u", "e", "w"]
@@ -542,7 +561,7 @@ def apply_block(block, state, dataset, config):
         for v in range(state.n_views):
             state.A[v] = update_a(state, dataset, config, v)
     elif block == "q":
-        state.Q = update_q(state)
+        state.Q, _ = update_q(state)
     elif block == "u":
         for v in range(state.n_views):
             state.U[v], _ = update_u(state, config, v)
@@ -551,7 +570,7 @@ def apply_block(block, state, dataset, config):
             state.E[v] = update_e(state, dataset, config, v)
     elif block == "w":
         for v in range(state.n_views):
-            state.w[v] = update_w(state, dataset, config, v)
+            state.w[v], _ = update_w(state, dataset, config, v)
 
 
 class TestBlockMonotonicity:
@@ -615,31 +634,60 @@ class TestSolve:
                 state.A[v] = update_a(state, ds, cfg, v)
                 state.U[v], _ = update_u(state, cfg, v)
                 state.E[v] = update_e(state, ds, cfg, v)
-                state.w[v] = update_w(state, ds, cfg, v)
-                state.Lam1[v], state.Lam2[v], state.Lam3[v] = update_multipliers(state, ds, v)
+                state.w[v], _ = update_w(state, ds, cfg, v)
+                (state.Lam1[v], state.Lam2[v], state.Lam3[v]), _ = update_multipliers(state, ds, v)
                 assert state.A[v].min() >= 0.0
                 assert np.abs(state.A[v].sum(axis=1) - 1.0).max() <= 1e-9
                 assert np.all(np.diag(state.A[v]) == 0.0)
                 assert state.w[v].min() >= 0.0
                 assert abs(state.w[v].sum() - 1.0) <= 1e-12
-            state.Q = update_q(state)
+            state.Q, _ = update_q(state)
             assert np.linalg.norm(state.Q.T @ state.Q - np.eye(2)) <= 1e-9
             state.mu = step_mu(state, cfg)
 
-    @pytest.mark.parametrize("mode", ["full", "no_spectral_norm"])
-    def test_objective_gets_current_u_norms(self, mode, monkeypatch):
+    @pytest.mark.parametrize("mode", ["full", "uniform_weights", "no_spectral_norm"])
+    def test_objective_matches_oracle_every_iteration(self, mode, monkeypatch):
         spec = SynthSpec(clusters=2, samples_per_cluster=8, view_dims=(3, 5), seed=6)
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
         seen = []
 
-        def checked(state, dataset, config, u_terms):
-            seen.append([config.effective_lambda2 * spectral_norm_via_gram(U) for U in state.U])
-            assert u_terms == pytest.approx(seen[-1], rel=1e-10)
-            return evaluate_objective(state, dataset, config, u_terms)
+        def checked(state, config, view_terms, eigenvalue_sum):
+            seen.append(evaluate_objective(state, config, view_terms, eigenvalue_sum))
+            assert seen[-1] == pytest.approx(brute_force_objective(state, ds, config), rel=1e-10)
+            return seen[-1]
 
         monkeypatch.setattr("mvsc.solver.evaluate_objective", checked)
         result = solve(ds, SolverConfig(n_clusters=2, max_iter=8, ablation=mode))
         assert len(seen) == result.iterations == 8
+        assert np.array_equal(result.trace.objective, seen)
+
+    def test_edge_costs_and_gaps_built_once_per_view(self, monkeypatch):
+        spec = SynthSpec(clusters=3, samples_per_cluster=20, view_dims=(3, 5, 4), seed=6)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        n, iterations = ds.n_samples, 5
+        callers = {"graph_cost": [], "constraint_gaps": []}
+        for name, seen in callers.items():
+            def counted(*args, _real=getattr(mvsc.solver, name), _seen=seen):
+                _seen.append(sys._getframe(1).f_code.co_name)
+                return _real(*args)
+            monkeypatch.setattr(mvsc.solver, name, counted)
+        peaks = []
+
+        def measured(*args):
+            tracemalloc.start()
+            try:
+                return evaluate_objective(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(mvsc.solver, "evaluate_objective", measured)
+        result = solve(ds, SolverConfig(n_clusters=3, max_iter=iterations))
+        assert result.iterations == iterations
+        assert callers["graph_cost"] == ["update_a"] * (ds.n_views * iterations)
+        assert callers["constraint_gaps"] == ["update_multipliers"] * (ds.n_views * iterations)
+        # the objective allocates no n x n array
+        assert len(peaks) == iterations and max(peaks) < 8 * n * n
 
     @pytest.mark.parametrize("mode", ["full", "uniform_weights", "no_spectral_norm"])
     def test_fused_graph_relabels_q(self, mode):
@@ -649,7 +697,7 @@ class TestSolve:
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
         cfg = SolverConfig(n_clusters=3, max_iter=40, ablation=mode)
         result = solve(ds, cfg)
-        Qg = smallest_eigvecs(laplacian(result.fused_similarity), cfg.n_clusters)
+        _, Qg = smallest_eigvecs(laplacian(result.fused_similarity), cfg.n_clusters)
         assert np.linalg.norm(result.Q @ result.Q.T - Qg @ Qg.T) <= 1e-10
         assert np.array_equal(kmeans(Qg, cfg.n_clusters, seed=cfg.seed), result.labels)
 

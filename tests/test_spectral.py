@@ -23,30 +23,30 @@ def block_diagonal_graph(sizes, rng):
 class TestSmallestEigvecs:
     def test_component_indicators_have_zero_energy(self, rng):
         L = laplacian(block_diagonal_graph([4, 3, 5], rng))
-        Q = smallest_eigvecs(L, 3)
+        _, Q = smallest_eigvecs(L, 3)
         assert abs(np.trace(Q.T @ L @ Q)) <= 1e-8
 
     def test_full_basis_recovers_total_trace(self, rng):
         L = laplacian(rng.uniform(0, 1, size=(6, 6)))
-        Q = smallest_eigvecs(L, 6)
+        _, Q = smallest_eigvecs(L, 6)
         assert np.trace(Q.T @ L @ Q) == pytest.approx(np.trace(L), abs=1e-8)
 
     def test_orthonormal_columns(self, rng):
         L = laplacian(rng.uniform(0, 1, size=(9, 9)))
-        Q = smallest_eigvecs(L, 4)
+        _, Q = smallest_eigvecs(L, 4)
         assert np.linalg.norm(Q.T @ Q - np.eye(4)) <= 1e-9
 
     def test_eigenvalue_sum_matches_full_decomposition(self, rng):
         M = rng.standard_normal((8, 8))
         L = M @ M.T  # random PSD
-        Q = smallest_eigvecs(L, 3)
+        _, Q = smallest_eigvecs(L, 3)
         want = np.sort(np.linalg.eigvalsh(L))[:3].sum()
         assert np.trace(Q.T @ L @ Q) == pytest.approx(want, abs=1e-8)
 
     def test_deterministic_sign_convention(self, rng):
         L = laplacian(rng.uniform(0, 1, size=(7, 7)))
-        Q1 = smallest_eigvecs(L, 3)
-        Q2 = smallest_eigvecs(L.copy(), 3)
+        _, Q1 = smallest_eigvecs(L, 3)
+        _, Q2 = smallest_eigvecs(L.copy(), 3)
         assert np.array_equal(Q1, Q2)
         idx = np.argmax(np.abs(Q1), axis=0)
         assert np.all(Q1[idx, np.arange(3)] > 0)
