@@ -126,7 +126,7 @@ def _dataset_fingerprint(dataset: MultiViewDataset) -> dict:
 
 
 def _percent(report: MetricReport) -> dict[str, float]:
-    return {name: round(100.0 * value, 4) for name, value in report.as_dict().items()}
+    return {name: round(100.0 * value, 4) for name, value in asdict(report).items()}
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -139,6 +139,24 @@ def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
 
 
+def _write_manifest(path: str, config: dict, dataset: MultiViewDataset, labels: np.ndarray,
+                    weights: list[np.ndarray] | None, converged: bool, iterations: int,
+                    timing: float) -> None:
+    """Write a run manifest; ``metrics`` is present when the dataset has labels."""
+    manifest = {
+        "config": config,
+        "dataset": _dataset_fingerprint(dataset),
+        "labels": [int(x) for x in labels],
+        "weights": None if weights is None else [[float(x) for x in w] for w in weights],
+        "converged": converged,
+        "iterations": iterations,
+        "timing": timing,
+    }
+    if dataset.labels is not None:
+        manifest["metrics"] = _percent(compute_metrics(dataset.labels, labels))
+    _write_json(path, manifest)
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = SynthSpec(
         clusters=args.clusters,
@@ -146,7 +164,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         view_dims=args.dims,
         within_cluster_std=args.within_std,
         between_cluster_separation=args.separation,
-        noise_feature_counts=args.noise or (0,) * len(args.dims),
+        noise_feature_counts=args.noise or (),
         seed=args.seed,
     )
     dataset = generate_synthetic(spec)
@@ -175,25 +193,14 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     result = solve(dataset, config)
     elapsed = time.perf_counter() - start
 
-    manifest = {
-        "config": _config_echo(config, args),
-        "dataset": _dataset_fingerprint(dataset),
-        "labels": [int(x) for x in result.labels],
-        "weights": [[float(x) for x in w] for w in result.weights],
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "timing": elapsed,
-    }
-    if dataset.labels is not None:
-        manifest["metrics"] = _percent(compute_metrics(dataset.labels, result.labels))
-
     trace_path = args.trace or str(Path(args.out).with_suffix(".trace.csv"))
     result.trace.write_csv(trace_path)
     if args.similarity_out:
         _write_matrix_csv(args.similarity_out, result.fused_similarity)
     if args.laplacian_out:
         _write_matrix_csv(args.laplacian_out, laplacian(result.fused_similarity))
-    _write_json(args.out, manifest)
+    _write_manifest(args.out, _config_echo(config, args), dataset, result.labels, result.weights,
+                    result.converged, result.iterations, elapsed)
     print(f"wrote {args.out} (converged={result.converged}, iterations={result.iterations})")
     return 0
 
@@ -207,22 +214,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     labels = ncut_baseline(dataset, args.clusters, seed=args.seed, ratio_cut=ratio_cut)
     elapsed = time.perf_counter() - start
 
-    manifest = {
-        "config": {
-            "n_clusters": args.clusters,
-            "seed": args.seed,
-            "ratio_cut": ratio_cut,
-        },
-        "dataset": _dataset_fingerprint(dataset),
-        "labels": [int(x) for x in labels],
-        "weights": None,
-        "converged": True,
-        "iterations": 0,
-        "timing": elapsed,
-    }
-    if dataset.labels is not None:
-        manifest["metrics"] = _percent(compute_metrics(dataset.labels, labels))
-    _write_json(args.out, manifest)
+    config = {"n_clusters": args.clusters, "seed": args.seed, "ratio_cut": ratio_cut}
+    _write_manifest(args.out, config, dataset, labels, None, True, 0, elapsed)
     print(f"wrote {args.out}")
     return 0
 
@@ -243,12 +236,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.append((point, report, result.iterations))
 
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_GRID_FIELDS) + ",acc,nmi,ari,precision,fscore,iterations\n")
+        metric_names = (f.name for f in fields(MetricReport))
+        fh.write(",".join([*_GRID_FIELDS, *metric_names, "iterations"]) + "\n")
         for point, report, iterations in rows:
             fh.write(
                 "".join(f"{value:.17g}," for value in point)
-                + f"{report['acc']:.4f},{report['nmi']:.4f},{report['ari']:.4f},"
-                f"{report['precision']:.4f},{report['fscore']:.4f},{iterations}\n"
+                + "".join(f"{value:.4f}," for value in report.values())
+                + f"{iterations}\n"
             )
     print(f"wrote {args.out} ({len(rows)} grid points)")
     return 0

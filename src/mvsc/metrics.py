@@ -1,9 +1,8 @@
 """Clustering quality metrics: ACC, NMI, ARI, pairwise precision and F-score.
 
 All five are invariant under relabeling of either argument; labels may be
-arbitrary integers (no contiguity assumed). NMI defaults to the
-geometric-mean normalization I / sqrt(H_t * H_p); an arithmetic-mean
-variant is available for comparability with other codebases.
+arbitrary integers (no contiguity assumed). NMI uses the geometric-mean
+normalization I / sqrt(H_t * H_p).
 """
 
 from __future__ import annotations
@@ -22,15 +21,6 @@ class MetricReport:
     ari: float
     precision: float
     fscore: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "acc": self.acc,
-            "nmi": self.nmi,
-            "ari": self.ari,
-            "precision": self.precision,
-            "fscore": self.fscore,
-        }
 
 
 def _check_labels(truth, pred, min_n: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -55,16 +45,13 @@ def contingency_table(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
 def accuracy(truth, pred) -> float:
     """Best-match accuracy: optimal one-to-one label assignment on the confusion matrix.
 
-    The table is zero-padded square when the two sides have different
-    cluster counts, so the assignment problem is always well posed.
+    With different cluster counts on the two sides, the surplus clusters of
+    the larger side stay unmatched.
     """
     truth, pred = _check_labels(truth, pred, min_n=1)
     table = contingency_table(truth, pred)
-    size = max(table.shape)
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[: table.shape[0], : table.shape[1]] = table
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    return float(padded[rows, cols].sum()) / truth.size
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return float(table[rows, cols].sum()) / truth.size
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:
@@ -72,14 +59,12 @@ def _entropy(counts: np.ndarray, n: int) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def nmi(truth, pred, normalization: str = "geometric") -> float:
+def nmi(truth, pred) -> float:
     """Normalized mutual information between two labelings.
 
     Defined as 1 when both partitions are single-cluster and 0 when
     exactly one of them is (the normalizer vanishes there).
     """
-    if normalization not in ("geometric", "arithmetic"):
-        raise ValueError("normalization must be 'geometric' or 'arithmetic'")
     truth, pred = _check_labels(truth, pred, min_n=1)
     n = truth.size
     table = contingency_table(truth, pred)
@@ -97,9 +82,7 @@ def nmi(truth, pred, normalization: str = "geometric") -> float:
     outer = np.outer(a, b)[nz].astype(float)
     mi = float((nij / n * (np.log(n * nij) - np.log(outer))).sum())
     mi = max(mi, 0.0)
-    if normalization == "geometric":
-        return mi / math.sqrt(h_t * h_p)
-    return 2.0 * mi / (h_t + h_p)
+    return mi / math.sqrt(h_t * h_p)
 
 
 def _pair_counts(table: np.ndarray) -> tuple[float, float, float, float]:

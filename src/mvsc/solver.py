@@ -120,13 +120,12 @@ class ConvergenceTrace:
         return self.objective.size
 
     def write_csv(self, path) -> None:
+        names = [f.name for f in fields(self)]
+        columns = [getattr(self, name) for name in names]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("iteration,objective,r_recon,r_u,r_a,mu\n")
+            fh.write(",".join(["iteration", *names]) + "\n")
             for i in range(len(self)):
-                fh.write(
-                    f"{i},{self.objective[i]:.17g},{self.r_recon[i]:.17g},"
-                    f"{self.r_u[i]:.17g},{self.r_a[i]:.17g},{self.mu[i]:.17g}\n"
-                )
+                fh.write(f"{i}" + "".join(f",{column[i]:.17g}" for column in columns) + "\n")
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,10 @@ class ClusteringResult:
     weights: list[np.ndarray]
     trace: ConvergenceTrace
     converged: bool
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 def precompute_gram(dataset: MultiViewDataset) -> list[np.ndarray]:
@@ -365,7 +367,7 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
     The fused similarity's Laplacian is (1/V) sum_v L(A_v): its bottom eigenvectors span Q.
     """
     state = initialize(dataset, config)
-    rows: list[tuple[float, float, float, float, float]] = []
+    rows: list[tuple[float, ...]] = []
     converged = False
     view_terms, gaps = [0.0] * state.n_views, [None] * state.n_views
 
@@ -387,8 +389,9 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
             break
         state.mu = step_mu(state, config)
 
-    trace = ConvergenceTrace(*np.array(rows, dtype=float).reshape(-1, 5).T)
+    width = len(fields(ConvergenceTrace))
+    trace = ConvergenceTrace(*np.array(rows, dtype=float).reshape(-1, width).T)
     labels = kmeans(state.Q, config.n_clusters, seed=config.seed)
     return ClusteringResult(labels=labels, Q=state.Q, fused_similarity=fuse_similarity(state.A),
                             weights=[w.copy() for w in state.w], trace=trace,
-                            converged=converged, iterations=len(rows))
+                            converged=converged)

@@ -228,7 +228,7 @@ class TestSweep:
         assert run(*args, "-o", out1) == 0
         assert run(*args, "-o", out2) == 0
         lines = out1.read_text().splitlines()
-        assert lines[0].startswith("lambda1,lambda2,lambda3,acc")
+        assert lines[0] == "lambda1,lambda2,lambda3,acc,nmi,ari,precision,fscore,iterations"
         assert len(lines) == 5  # header + 2x2x1 grid
         assert out1.read_bytes() == out2.read_bytes()
 
@@ -243,7 +243,8 @@ class TestSweep:
                    "-o", cluster_out) == 0
         row = sweep_out.read_text().splitlines()[1].split(",")
         manifest = read_json(cluster_out)
-        assert float(row[3]) == pytest.approx(manifest["metrics"]["acc"], abs=1e-4)
+        for cell, name in zip(row[3:8], ("acc", "nmi", "ari", "precision", "fscore")):
+            assert float(cell) == pytest.approx(manifest["metrics"][name], abs=1e-4)
         assert int(row[8]) == manifest["iterations"]
 
     def test_bad_grid_point_fails_before_solving(self, synth_dir, tmp_path, monkeypatch, capsys):

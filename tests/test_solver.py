@@ -614,6 +614,21 @@ class TestSolve:
         assert np.array_equal(r1.trace.r_a, r2.trace.r_a)
         assert np.array_equal(r1.trace.mu, r2.trace.mu)
 
+    def test_trace_csv_round_trips(self, tmp_path):
+        spec = SynthSpec(clusters=2, samples_per_cluster=6, view_dims=(3, 4), seed=4)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        result = solve(ds, SolverConfig(n_clusters=2, max_iter=6))
+        path = tmp_path / "trace.csv"
+        result.trace.write_csv(path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.readline() == "iteration,objective,r_recon,r_u,r_a,mu\n"
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert table.shape[0] == result.iterations
+        assert np.array_equal(table[:, 0], np.arange(result.iterations))
+        tr = result.trace
+        for column, values in zip(table[:, 1:].T, (tr.objective, tr.r_recon, tr.r_u, tr.r_a, tr.mu)):
+            assert np.array_equal(column, values)
+
     def test_zero_lambdas_drive_feasibility(self, rng):
         spec = SynthSpec(clusters=2, samples_per_cluster=12, view_dims=(4, 6), seed=2)
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
