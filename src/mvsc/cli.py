@@ -206,9 +206,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ValueError("--seed must be >= 0")
+    if args.seed < 0 or args.clusters < 2:
+        raise ValueError("--seed must be >= 0" if args.seed < 0 else "--clusters must be >= 2")
     dataset = load_dataset(args.data_dir)
+    if args.clusters > dataset.n_samples:
+        raise ValueError(f"--clusters must be <= {dataset.n_samples}, the number of samples")
     start = time.perf_counter()
     ratio_cut = _bool_flag(args.ratio_cut)
     labels = ncut_baseline(dataset, args.clusters, seed=args.seed, ratio_cut=ratio_cut)

@@ -1,18 +1,12 @@
 """Projections and proximal operators used by the solver subproblems.
 
 One sort-and-threshold rule (Duchi et al. 2008, projections onto the l1
-ball) serves both projections: the row-batched simplex projection that pins
-each row's own coordinate (the self-affinity) to zero, and the l1-ball
-projection, through which the spectral-norm prox shrinks singular values.
-Elementwise soft-thresholding is the prox of the l1 norm.
-
-The spectral-norm prox changes only the singular values above its
-threshold, so given a hint of how many that is it works from the top-k
-eigenpairs of M^T M alone (the partial-SVD form of singular value
-thresholding, Cai, Candes & Shen 2010). The threshold from the top k is
-exact once the k-th value is at or below it; otherwise k doubles. Without a
-hint, or once k passes n/4, where a partial decomposition stops paying, it
-takes the full SVD.
+ball) serves the row-batched simplex projection that pins each row's own
+coordinate (the self-affinity) to zero, the l1-ball projection, and the
+spectral-norm prox, which thresholds singular values (Cai, Candes & Shen
+2010) taken from one eigendecomposition of M^T M: its top k eigenpairs,
+with the full spectrum as k = n. Elementwise soft-thresholding is the prox
+of the l1 norm.
 """
 
 from __future__ import annotations
@@ -56,7 +50,8 @@ def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of a nonnegative vector onto {x : ||x||_1 <= radius}.
 
-    Callers pass singular values, so no sign handling is needed.
+    The tests' reference for the spectral-norm prox, which shrinks the
+    singular values s to s - project_l1_ball(s, t); no sign handling is needed.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -79,34 +74,36 @@ def prox_spectral_norm(M: np.ndarray, t: float,
     M = P diag(s) Q^T maps to P diag(min(s, theta)) Q^T, where theta solves
     sum(max(s - theta, 0)) = t. The clipped values are those above theta, and
     ||U||_2 = theta when any is clipped. At weight 0 the prox is the
-    identity, which callers handle without an SVD.
+    identity, which callers handle without the prox.
 
-    ``k_hint`` (typically the previous call's clipped count) selects the
-    top-k path: the k = k_hint + 2 largest eigenpairs of M^T M give s and Q,
-    theta is computed from those k values, and the result is exact once the
-    smallest of them is <= theta, since the rest then lie below theta too;
-    otherwise k doubles. Then U = M - (M Q_a) diag(1 - theta/s_a) Q_a^T over
-    the clipped set a. With no hint, once k passes n/4 (n = M's column
-    count), or when the k values sum to at most t, it takes the full SVD.
+    s and Q come from the k largest eigenpairs of G = M^T M: k = k_hint + 2
+    (``k_hint`` is typically the previous call's clipped count), or k = n
+    (M's column count) with no hint or once k passes n/4, where a partial
+    decomposition stops paying. theta from the top k is exact once the k-th
+    value is <= theta, since the rest then lie below theta too; otherwise k
+    doubles, or becomes n when the k values sum to at most t. Then
+    U = M - (M Q_a) diag(1 - theta/s_a) Q_a^T over the clipped set a. Values
+    taken as sqrt of G's eigenvalues are exact only to the rounding bound
+    sqrt(n * eps) * s_1, so when theta is at or below it everything clips:
+    U = 0, ||U||_2 = 0, and the clipped count is the number of values above
+    the bound.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     M = np.asarray(M, dtype=float)
     n = M.shape[1]
-    k = n if k_hint is None else k_hint + 2  # no hint: straight to the full SVD
-    G = M.T @ M if 4 * k <= n else None
-    while 4 * k <= n:
+    G = M.T @ M
+    k = n if k_hint is None or 4 * (k_hint + 2) > n else k_hint + 2
+    while True:
         lam, V = scipy.linalg.eigh(G, subset_by_index=(n - k, n - 1), driver="evr")
         s = np.sqrt(np.maximum(lam[::-1], 0.0))
-        if s.sum() <= t:
+        theta = _sort_threshold(s[None, :], t)[0]  # <= 0 iff the k values sum to <= t
+        if k == n or s[-1] <= theta:
             break
-        theta = _sort_threshold(s[None, :], t)[0]
-        if s[-1] <= theta:
-            a = s > theta
-            Va = V[:, ::-1][:, a]
-            return M - ((M @ Va) * (1.0 - theta / s[a])) @ Va.T, float(theta), int(a.sum())
-        k *= 2
-    P, s, Qt = np.linalg.svd(M, full_matrices=False)
-    shrink = project_l1_ball(s, t)
-    s_new = s - shrink
-    return (P * s_new) @ Qt, float(s_new[0]), int(np.count_nonzero(shrink))
+        k = 2 * k if theta > 0 and 8 * k <= n else n
+    bound = np.sqrt(n * np.finfo(float).eps) * s[0]
+    if theta <= bound:
+        return np.zeros_like(M), 0.0, int(np.count_nonzero(s > bound))
+    a = s > theta
+    Va = V[:, ::-1][:, a]
+    return M - ((M @ Va) * (1.0 - theta / s[a])) @ Va.T, float(theta), int(a.sum())

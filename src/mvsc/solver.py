@@ -260,7 +260,7 @@ def update_q(state: SolverState) -> tuple[np.ndarray, float]:
 
 def update_u(state: SolverState, config: SolverConfig, view: int) -> tuple[np.ndarray, float]:
     """Spectral-norm proximal step on Z + Lam2/mu at weight lambda2/mu: U and the
-    objective's U term lambda2 * ||U||_2. At weight 0 it is the identity, with no SVD.
+    objective's U term lambda2 * ||U||_2. At weight 0 it is the identity, with no prox.
     The view's last clipped count is the prox's top-k hint, and the new count replaces it."""
     M = state.Z[view] + state.Lam2[view] / state.mu
     t = config.effective_lambda2 / state.mu

@@ -219,6 +219,29 @@ class TestBaseline:
         assert "error: --seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("clusters", [1, 0, -2])
+    def test_clusters_below_two_fail_before_loading(self, clusters, synth_dir, tmp_path,
+                                                    monkeypatch, capsys):
+        def not_reached(*_, **__):
+            raise AssertionError("baseline went past --clusters below 2")
+
+        monkeypatch.setattr("mvsc.cli.load_dataset", not_reached)
+        monkeypatch.setattr("mvsc.cli.ncut_baseline", not_reached)
+        assert run("baseline", synth_dir, "--clusters", clusters,
+                   "-o", tmp_path / "x.json") == 1
+        assert "error: --clusters must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_clusters_above_sample_count_fail_before_affinity(self, synth_dir, tmp_path,
+                                                              monkeypatch, capsys):
+        def not_reached(*_, **__):
+            raise AssertionError("baseline went past --clusters above n")
+
+        monkeypatch.setattr("mvsc.cli.ncut_baseline", not_reached)
+        assert run("baseline", synth_dir, "--clusters", 46, "-o", tmp_path / "x.json") == 1
+        assert "error: --clusters must be <= 45, the number of samples" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestSweep:
     def test_grid_rows_and_reproducibility(self, synth_dir, tmp_path):

@@ -237,19 +237,19 @@ class TestSpectralNormProxTopK:
         self.assert_matches(prox_spectral_norm(M, t, k_hint=0), want)
         assert kernel_calls == {"svd": 0, "eigh": 3}
 
-    def test_hint_past_quarter_takes_full_svd(self, rng, kernel_calls):
+    def test_hint_past_quarter_takes_full_spectrum(self, rng, kernel_calls):
         M = low_rank_plus_noise(rng, (120, 120))
         t = float(np.linalg.svd(M, compute_uv=False)[0])
         kernel_calls["svd"] = 0
         got = prox_spectral_norm(M, t, k_hint=29)  # k = 31 > 120/4
-        assert kernel_calls == {"svd": 1, "eigh": 0}
+        assert kernel_calls == {"svd": 0, "eigh": 1}
         no_hint = prox_spectral_norm(M, t)
         assert np.array_equal(got[0], no_hint[0]) and got[1:] == no_hint[1:]
 
     def test_t_at_least_nuclear_norm_gives_zero(self, rng):
         M = low_rank_plus_noise(rng, (120, 120))
         s = np.linalg.svd(M, compute_uv=False)
-        # the top k = 5 values sum to at most t, so the full SVD decides
+        # the top k = 5 values sum to at most t, so the full spectrum decides
         for t in (s.sum(), s.sum() + 5.0):
             U, norm, clipped = prox_spectral_norm(M, t, k_hint=3)
             assert np.all(U == 0.0) and norm == 0.0
@@ -257,6 +257,19 @@ class TestSpectralNormProxTopK:
         # likewise for a t between the top-5 sum and the nuclear norm
         t = 1.01 * s[:5].sum()
         self.assert_matches(prox_spectral_norm(M, t, k_hint=3), full_svd_prox(M, t))
+
+    @pytest.mark.parametrize("shape, rank", [((90, 130), 90), ((120, 120), 7), ((130, 90), 90)])
+    def test_everything_clips_at_the_rounding_bound(self, shape, rank):
+        # sqrt of M^T M's eigenvalues sums slightly above the SVD's nuclear
+        # norm, and a rank-deficient M has eigenvalues at rounding level
+        rng = np.random.default_rng(7)
+        M = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        nuclear = np.linalg.svd(M, compute_uv=False).sum()
+        for t in (nuclear, nuclear + 5.0):
+            for k_hint in (None, 3):
+                U, norm, clipped = prox_spectral_norm(M, t, k_hint=k_hint)
+                assert np.all(U == 0.0) and norm == 0.0
+                assert clipped == rank
 
     @pytest.mark.parametrize("shape", [(150, 120), (90, 130)])
     def test_rectangular(self, shape, rng, kernel_calls):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 import mvsc.solver
@@ -312,7 +313,7 @@ class TestUpdateU:
             delta /= np.linalg.norm(delta)
             assert base <= block_objective(U + 1e-3 * delta) + 1e-10
 
-    def test_without_hint_takes_full_svd(self, rng, monkeypatch):
+    def test_without_hint_takes_full_spectrum(self, rng, monkeypatch):
         ds = make_random_dataset(40, (3,), rng)
         cfg = SolverConfig(n_clusters=2, lambda2=0.4, k_init=3)
         state = make_random_state(ds, cfg, rng, mu=0.5)
@@ -322,16 +323,21 @@ class TestUpdateU:
         shrink = project_l1_ball(s, cfg.lambda2 / state.mu)
         U_full = (P * (s - shrink)) @ Qt
 
-        svd_calls = []
-        real_svd = np.linalg.svd
+        calls = []
+        real_svd, real_eigh = np.linalg.svd, scipy.linalg.eigh
 
         def counted_svd(*args, **kwargs):
-            svd_calls.append(args[0].shape)
+            calls.append(("svd", args[0].shape))
             return real_svd(*args, **kwargs)
 
+        def counted_eigh(*args, **kwargs):
+            calls.append(("eigh", args[0].shape, kwargs.get("subset_by_index")))
+            return real_eigh(*args, **kwargs)
+
         monkeypatch.setattr("numpy.linalg.svd", counted_svd)
+        monkeypatch.setattr("scipy.linalg.eigh", counted_eigh)
         U, term = update_u(state, cfg, 0)
-        assert svd_calls == [(40, 40)]
+        assert calls == [("eigh", (40, 40), (0, 39))]
         assert np.abs(U - U_full).max() <= 1e-12 * np.abs(U_full).max()
         assert term == pytest.approx(cfg.lambda2 * (s - shrink)[0], rel=1e-12)
         assert state.clipped == {0: np.count_nonzero(shrink)}
