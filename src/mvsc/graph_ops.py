@@ -98,6 +98,12 @@ def knn_affinity(X: np.ndarray, k: int) -> np.ndarray:
     Row i puts weight 1/k on the k nearest other samples by Euclidean
     distance and 0 elsewhere; distance ties break toward the lower sample
     index. Uniform weights keep every row summing to exactly 1.
+
+    The neighbors come from a selection, not a sort: ``np.partition`` finds
+    each row's k-th smallest distance, every sample strictly closer is
+    taken, and the remaining places go to the samples at exactly that
+    distance, lowest index first. This picks the same k as the first k of
+    a stable sort of the row.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
@@ -105,12 +111,12 @@ def knn_affinity(X: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     D = pairwise_sq_distances(X)
     np.fill_diagonal(D, np.inf)
-    # stable sort so equal distances resolve to the lower index
-    order = np.argsort(D, axis=1, kind="stable")[:, :k]
-    A = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), k)
-    A[rows, order.ravel()] = 1.0 / k
-    return A
+    kth = np.partition(D, k - 1, axis=1)[:, k - 1 : k]
+    closer = D < kth
+    at_kth = D == kth
+    places = k - closer.sum(axis=1, keepdims=True)
+    chosen = closer | (at_kth & (np.cumsum(at_kth, axis=1) <= places))
+    return chosen * (1.0 / k)
 
 
 def gaussian_affinity(X: np.ndarray, sigma: float) -> np.ndarray:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass(frozen=True)
@@ -42,16 +41,52 @@ def contingency_table(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
     return table
 
 
+def _max_assignment(table: np.ndarray) -> int:
+    """Largest sum of entries of an integer matrix with at most one per row and column.
+
+    The Hungarian method with potentials (Kuhn 1955; Jonker & Volgenant
+    1987) on the costs max(table) - table, in O(r^2 c) for r <= c rows
+    (the table is transposed otherwise): each row joins along a shortest
+    augmenting path. Integer costs keep every step exact.
+    """
+    a = table.T if table.shape[0] > table.shape[1] else table
+    r, c = a.shape
+    big = np.iinfo(np.int64).max
+    # rows and columns count from 1; column 0 is a virtual one holding the row being added
+    cost = np.zeros((r + 1, c + 1), dtype=np.int64)
+    cost[1:, 1:] = a.max() - a
+    u, v = np.zeros(r + 1, dtype=np.int64), np.zeros(c + 1, dtype=np.int64)
+    match = np.zeros(c + 1, dtype=np.int64)  # the row matched to each column, 0 if none
+    for i in range(1, r + 1):
+        match[0], j = i, 0
+        minv, way = np.full(c + 1, big), np.zeros(c + 1, dtype=np.int64)
+        used = np.zeros(c + 1, dtype=bool)
+        while match[j]:  # grow the shortest-path tree until it reaches a free column
+            used[j] = True
+            reduced = cost[match[j]] - u[match[j]] - v
+            better = ~used & (reduced < minv)
+            minv[better], way[better] = reduced[better], j
+            j = int(np.argmin(np.where(used, big, minv)))
+            delta = minv[j]
+            u[match[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+        while j:  # augment along the path back to the virtual column
+            match[j] = match[way[j]]
+            j = way[j]
+    cols = np.flatnonzero(match[1:])
+    return int(a[match[cols + 1] - 1, cols].sum())
+
+
 def accuracy(truth, pred) -> float:
-    """Best-match accuracy: optimal one-to-one label assignment on the confusion matrix.
+    """Best-match accuracy: optimal one-to-one label assignment on the confusion matrix,
+    found exactly by the Hungarian method on the integer counts.
 
     With different cluster counts on the two sides, the surplus clusters of
     the larger side stay unmatched.
     """
     truth, pred = _check_labels(truth, pred, min_n=1)
-    table = contingency_table(truth, pred)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return float(table[rows, cols].sum()) / truth.size
+    return float(_max_assignment(contingency_table(truth, pred))) / truth.size
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:

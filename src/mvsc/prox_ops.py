@@ -2,11 +2,10 @@
 
 One sort-and-threshold rule (Duchi et al. 2008, projections onto the l1
 ball) serves the row-batched simplex projection that pins each row's own
-coordinate (the self-affinity) to zero, the l1-ball projection, and the
-spectral-norm prox, which thresholds singular values (Cai, Candes & Shen
-2010) taken from one eigendecomposition of M^T M: its top k eigenpairs,
-with the full spectrum as k = n. Elementwise soft-thresholding is the prox
-of the l1 norm.
+coordinate (the self-affinity) to zero, and the spectral-norm prox, which
+thresholds singular values (Cai, Candes & Shen 2010) taken from one
+eigendecomposition of M^T M: its top k eigenpairs, with the full spectrum
+as k = n. Elementwise soft-thresholding is the prox of the l1 norm.
 """
 
 from __future__ import annotations
@@ -45,23 +44,6 @@ def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
         raise ValueError("tau must be nonnegative")
     M = np.asarray(M, dtype=float)
     return np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
-
-
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of a nonnegative vector onto {x : ||x||_1 <= radius}.
-
-    The tests' reference for the spectral-norm prox, which shrinks the
-    singular values s to s - project_l1_ball(s, t); no sign handling is needed.
-    """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    v = np.asarray(v, dtype=float).ravel()
-    if v.sum() <= radius:
-        return v.copy()
-    if radius == 0:
-        return np.zeros_like(v)
-    theta = _sort_threshold(np.sort(v)[None, ::-1], radius)[0]
-    return np.maximum(v - theta, 0.0)
 
 
 def prox_spectral_norm(M: np.ndarray, t: float,

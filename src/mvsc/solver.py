@@ -310,8 +310,8 @@ def constraint_gaps(state: SolverState, dataset: MultiViewDataset,
 def graph_cost(X: np.ndarray, w: np.ndarray, Q: np.ndarray, lambda1: float) -> np.ndarray:
     """Edge costs of the graph terms: weighted feature distances plus lambda1
     times embedding distances, as one weighted distance matrix over X stacked
-    on Q^T, whose rows take weight sqrt(lambda1). For update_a and the explicit
-    augmented_lagrangian: sum(graph_cost * A) is the distance plus embedding term."""
+    on Q^T, whose rows take weight sqrt(lambda1): sum(graph_cost * A) is the
+    distance plus embedding term that update_a minimizes."""
     weights = np.concatenate([w, np.full(Q.shape[1], np.sqrt(lambda1))])
     return weighted_sq_distances(np.vstack([X, Q.T]), weights)
 
@@ -339,22 +339,6 @@ def evaluate_objective(state: SolverState, config: SolverConfig, view_terms: lis
     update_q's ``eigenvalue_sum``; the sparse-error term is read off E."""
     return (sum(view_terms) + 2.0 * config.lambda1 * eigenvalue_sum
             + config.lambda3 * sum(float(np.abs(E).sum()) for E in state.E))
-
-
-def augmented_lagrangian(state: SolverState, dataset: MultiViewDataset,
-                         config: SolverConfig) -> float:
-    """Full penalized Lagrangian: objective + multiplier couplings +
-    (mu/2) times the squared constraint gaps, each term built explicitly from
-    the state. The quantity every block update must not increase."""
-    total = 0.0
-    for v, view in enumerate(dataset.views):
-        cost = graph_cost(view.values, state.w[v], state.Q, config.lambda1)
-        total += float((cost * state.A[v]).sum()) + config.lambda3 * float(np.abs(state.E[v]).sum())
-        total += config.effective_lambda2 * float(np.linalg.norm(state.U[v], 2))
-        lams = (state.Lam1[v], state.Lam2[v], state.Lam3[v])
-        for lam, g in zip(lams, constraint_gaps(state, dataset, v)):
-            total += float((lam * g).sum()) + 0.5 * state.mu * float((g * g).sum())
-    return total
 
 
 def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:

@@ -34,6 +34,51 @@ def simplex_qp_enumerate(v: np.ndarray, excluded: int) -> np.ndarray:
     return best
 
 
+def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection of a nonnegative vector onto {x : ||x||_1 <= radius},
+    by water-filling: theta is the last (sum of the j largest - radius) / j
+    that stays below the j-th largest entry. The spectral-norm prox shrinks
+    singular values s to s - project_l1_ball(s, t)."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    v = np.asarray(v, dtype=float).ravel()
+    if v.sum() <= radius:
+        return v.copy()
+    if radius == 0:
+        return np.zeros_like(v)
+    top = sorted(v.tolist(), reverse=True)
+    theta = 0.0
+    for j in range(1, len(top) + 1):
+        level = (sum(top[:j]) - radius) / j
+        if top[j - 1] > level:
+            theta = level
+    return np.maximum(v - theta, 0.0)
+
+
+def augmented_lagrangian(state, dataset, config) -> float:
+    """The augmented Lagrangian at ``state``, from its definition: per view,
+    sum_ij A_ij (sum_k w_k^2 (x_ki - x_kj)^2 + lambda1 ||q_i - q_j||^2)
+    + lambda2 ||U||_2 + lambda3 ||E||_1 (lambda2 as the ablation applies it),
+    plus <Lam, gap> + (mu/2) ||gap||_F^2
+    for the gaps X - XZ - E, Z - U and Z - A. Distances are formed from
+    explicit pairwise differences. Every block update must not increase it."""
+    Q = state.Q
+    embed = ((Q[:, None, :] - Q[None, :, :]) ** 2).sum(axis=2)
+    total = 0.0
+    for v, view in enumerate(dataset.views):
+        X, Z = view.values, state.Z[v]
+        diff = (X[:, :, None] - X[:, None, :]) * state.w[v][:, None, None]
+        feature = (diff ** 2).sum(axis=0)
+        total += float((state.A[v] * (feature + config.lambda1 * embed)).sum())
+        total += config.effective_lambda2 * float(np.linalg.norm(state.U[v], 2))
+        total += config.lambda3 * float(np.abs(state.E[v]).sum())
+        for lam, gap in ((state.Lam1[v], X - X @ Z - state.E[v]),
+                         (state.Lam2[v], Z - state.U[v]),
+                         (state.Lam3[v], Z - state.A[v])):
+            total += float((lam * gap).sum()) + 0.5 * state.mu * float((gap * gap).sum())
+    return total
+
+
 def pair_counts_loop(truth, pred) -> tuple[int, int, int]:
     """(TP, FP, FN) by looping over all unordered sample pairs."""
     truth = np.asarray(truth).ravel()
@@ -83,6 +128,19 @@ def accuracy_exhaustive(truth, pred) -> float:
     for perm in itertools.permutations(range(k)):
         best = max(best, sum(counts[perm[j], j] for j in range(k)))
     return best / truth.size
+
+
+def knn_by_stable_sort(D: np.ndarray, k: int) -> np.ndarray:
+    """Row-stochastic kNN graph from a distance matrix: row i puts 1/k on the
+    first k other samples of a stable argsort of its distances, so ties go
+    to the lower index."""
+    D = np.array(D, dtype=float)
+    n = D.shape[0]
+    np.fill_diagonal(D, np.inf)
+    A = np.zeros((n, n))
+    for i in range(n):
+        A[i, np.argsort(D[i], kind="stable")[:k]] = 1.0 / k
+    return A
 
 
 def nmi_direct(truth, pred) -> float:

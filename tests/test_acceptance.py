@@ -16,10 +16,9 @@ import pytest
 from mvsc.cli import main as cli_main
 from mvsc.data import SynthSpec, generate_synthetic, normalize
 from mvsc.metrics import accuracy, ari, nmi, pairwise_prf
-from mvsc.prox_ops import _project_rows_simplex_zero_diag, project_l1_ball, prox_spectral_norm
+from mvsc.prox_ops import _project_rows_simplex_zero_diag, prox_spectral_norm
 from mvsc.solver import (
     SolverConfig,
-    augmented_lagrangian,
     solve,
     update_z,
 )
@@ -27,8 +26,10 @@ from conftest import make_random_dataset, make_random_state
 from oracles import (
     accuracy_exhaustive,
     ari_from_pairs,
+    augmented_lagrangian,
     nmi_direct,
     pair_counts_loop,
+    project_l1_ball,
     simplex_qp_enumerate,
 )
 from test_solver import BLOCKS, apply_block

@@ -14,6 +14,8 @@ from mvsc.graph_ops import (
     weighted_sq_distances,
 )
 
+from oracles import knn_by_stable_sort
+
 
 class TestLaplacian:
     def test_two_node_path(self):
@@ -183,6 +185,23 @@ class TestKnnAffinity:
         X = np.array([[0.0, 1.0, -1.0, 5.0]])
         A = knn_affinity(X, k=1)
         assert A[0, 1] == 1.0 and A[0, 2] == 0.0
+
+    def test_matches_stable_sort_on_ties(self, rng):
+        # integer-grid features with the second half of the samples copied from
+        # the first: most rows have several samples at their k-th distance, so
+        # the tie fill decides which of them the graph takes
+        graphs = tied = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 41))
+            X = rng.integers(-2, 3, size=(int(rng.integers(1, 4)), n)).astype(float)
+            X[:, n // 2:] = X[:, rng.integers(0, n // 2 + 1, size=n - n // 2)]
+            D = pairwise_sq_distances(X)
+            ordered = np.sort(D + np.diag(np.full(n, np.inf)), axis=1)
+            for k in range(1, n):
+                assert np.array_equal(knn_affinity(X, k), knn_by_stable_sort(D, k))
+                graphs += 1
+                tied += bool(k < n - 1 and np.any(ordered[:, k - 1] == ordered[:, k]))
+        assert tied >= graphs // 2
 
     def test_k_out_of_range(self, rng):
         X = rng.standard_normal((2, 4))

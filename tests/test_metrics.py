@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvsc
 from mvsc.metrics import accuracy, ari, compute_metrics, nmi, pairwise_prf
 
 from oracles import accuracy_exhaustive, ari_from_pairs, nmi_direct, pair_counts_loop
@@ -16,6 +21,39 @@ def random_label_pair(rng, n_max=30, c_max=5):
     n = int(rng.integers(2, n_max + 1))
     c = int(rng.integers(1, c_max + 1))
     return rng.integers(0, c, size=n), rng.integers(0, c, size=n)
+
+
+def structured_label_pair(rng):
+    """1-7 clusters a side, built for rectangular tables with empty cells and
+    tied optima: independent labels; one side a merge of the other, so every
+    merged cluster meets one cluster of the other side and nothing else; or
+    a table whose cells are all equal, where every full assignment ties."""
+    a, b = (int(x) for x in rng.integers(1, 8, size=2))
+    kind = int(rng.integers(3))
+    if kind == 2:
+        m = int(rng.integers(1, 4))
+        truth = np.repeat(np.arange(a), b * m)
+        pred = np.tile(np.repeat(np.arange(b), m), a)
+    else:
+        truth = rng.integers(0, a, size=int(rng.integers(1, 40)))
+        if kind == 0:
+            pred = rng.integers(0, b, size=truth.size)
+        else:
+            pred = rng.integers(0, b, size=a)[truth]
+    if rng.random() < 0.5:
+        truth, pred = pred, truth
+    return 3 * truth + 5, 7 - 2 * pred
+
+
+def test_import_skips_scipy_optimize():
+    # ACC's assignment is solved in the package, so no run pays for importing scipy.optimize
+    src = str(Path(mvsc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, mvsc, mvsc.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestAccuracy:
@@ -38,6 +76,25 @@ class TestAccuracy:
             assert accuracy(truth, pred) == pytest.approx(
                 accuracy_exhaustive(truth, pred), abs=0.0
             )
+
+    def test_matches_exhaustive_on_rectangular_and_tied_tables(self, rng):
+        for _ in range(1200):
+            truth, pred = structured_label_pair(rng)
+            assert accuracy(truth, pred) == accuracy_exhaustive(truth, pred)
+
+    def test_matches_linear_sum_assignment_on_large_tables(self, rng):
+        from scipy.optimize import linear_sum_assignment  # the oracle only
+
+        for _ in range(100):
+            shape = (int(rng.integers(1, 61)), int(rng.integers(1, 81)))
+            table = rng.integers(0, int(rng.integers(1, 6)), size=shape)
+            table[0, 0] += 1
+            if rng.random() < 0.5:
+                table = table.T
+            i, j = np.nonzero(table)
+            truth, pred = np.repeat(i, table[i, j]), np.repeat(j, table[i, j])
+            rows, cols = linear_sum_assignment(table, maximize=True)
+            assert accuracy(truth, pred) == float(table[rows, cols].sum()) / truth.size
 
     def test_errors(self):
         with pytest.raises(ValueError):

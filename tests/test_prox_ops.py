@@ -6,12 +6,11 @@ from hypothesis.extra.numpy import arrays
 
 from mvsc.prox_ops import (
     _project_rows_simplex_zero_diag,
-    project_l1_ball,
     prox_spectral_norm,
     soft_threshold,
 )
 
-from oracles import simplex_qp_enumerate, spectral_norm_via_gram
+from oracles import project_l1_ball, simplex_qp_enumerate, spectral_norm_via_gram
 
 
 def project_excluding_each(v):

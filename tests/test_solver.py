@@ -10,12 +10,10 @@ import scipy.optimize
 import mvsc.solver
 from mvsc.data import MultiViewDataset, SynthSpec, ViewMatrix, generate_synthetic, normalize
 from mvsc.graph_ops import knn_affinity, laplacian
-from mvsc.prox_ops import project_l1_ball
 from mvsc.solver import (
     ClusteringResult,
     SolverConfig,
     SolverState,
-    augmented_lagrangian,
     evaluate_objective,
     initialize,
     solve,
@@ -31,7 +29,12 @@ from mvsc.solver import (
 from mvsc.spectral import kmeans, smallest_eigvecs
 
 from conftest import make_random_dataset, make_random_state
-from oracles import simplex_qp_enumerate, spectral_norm_via_gram
+from oracles import (
+    augmented_lagrangian,
+    project_l1_ball,
+    simplex_qp_enumerate,
+    spectral_norm_via_gram,
+)
 
 
 @pytest.fixture
