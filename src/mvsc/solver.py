@@ -6,7 +6,9 @@ Z with sparse error E (X = XZ + E), a spectral-norm-bounded auxiliary U,
 and a feature weight vector w on the probability simplex; all views share
 one spectral embedding Q. The solver alternates exact block minimizers of
 the augmented Lagrangian with dual ascent on the three constraint gaps
-(X - XZ - E, Z - U, Z - A) under a geometrically growing penalty.
+(X - XZ - E, Z - U, Z - A) under a geometrically growing penalty; the
+E-step hands over the reconstruction gap, so XZ is formed once per view and
+iteration.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ class ClusteringResult:
         return len(self.trace)
 
 
-def precompute_gram(dataset: MultiViewDataset) -> list[np.ndarray]:
+def z_step_factors(dataset: MultiViewDataset) -> list[np.ndarray]:
     """The Z-step factor W = V diag(s / sqrt(s^2 + 2)) per view, n x min(d, n).
 
     From the thin SVD X = P diag(s) V^T, X^T X + 2I has eigenvalue s^2 + 2 on
@@ -215,7 +217,7 @@ def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
     _, Q = smallest_eigvecs(laplacian(sum(A)), config.n_clusters)
 
     return SolverState(Z=Z, A=A, U=U, E=E, Lam1=Lam1, Lam2=Lam2, Lam3=Lam3,
-                       w=w, Q=Q, mu=config.mu0, z_factor=precompute_gram(dataset))
+                       w=w, Q=Q, mu=config.mu0, z_factor=z_step_factors(dataset))
 
 
 def update_z(state: SolverState, dataset: MultiViewDataset, view: int) -> np.ndarray:
@@ -223,7 +225,7 @@ def update_z(state: SolverState, dataset: MultiViewDataset, view: int) -> np.nda
 
     V1 = X - E + Lam1/mu, V2 = U - Lam2/mu, V3 = A - Lam3/mu; R is summed in
     place. The solution (R - W (W^T R)) / 2 uses the view's cached factor W
-    (``precompute_gram``): two thin products, O(min(d, n) n^2).
+    (``z_step_factors``): two thin products, O(min(d, n) n^2).
     """
     X = dataset.views[view].values
     W = state.z_factor[view]
@@ -271,11 +273,13 @@ def update_u(state: SolverState, config: SolverConfig, view: int) -> tuple[np.nd
 
 
 def update_e(state: SolverState, dataset: MultiViewDataset, config: SolverConfig,
-             view: int) -> np.ndarray:
-    """Shrinkage of the reconstruction residual X - XZ + Lam1/mu at lambda3/mu."""
+             view: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shrinkage of the residual R + Lam1/mu at lambda3/mu, R = X - XZ: E and the
+    reconstruction gap R - E at it, which update_multipliers takes."""
     X = dataset.views[view].values
-    M = X - X @ state.Z[view] + state.Lam1[view] / state.mu
-    return soft_threshold(M, config.lambda3 / state.mu)
+    R = X - X @ state.Z[view]
+    E = soft_threshold(R + state.Lam1[view] / state.mu, config.lambda3 / state.mu)
+    return E, R - E
 
 
 def update_w(state: SolverState, dataset: MultiViewDataset, config: SolverConfig,
@@ -299,14 +303,6 @@ def update_w(state: SolverState, dataset: MultiViewDataset, config: SolverConfig
     return w, 2.0 * float((w * w) @ y)
 
 
-def constraint_gaps(state: SolverState, dataset: MultiViewDataset,
-                    view: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The view's three constraint gaps X - XZ - E, Z - U and Z - A."""
-    X = dataset.views[view].values
-    Z = state.Z[view]
-    return X - X @ Z - state.E[view], Z - state.U[view], Z - state.A[view]
-
-
 def graph_cost(X: np.ndarray, w: np.ndarray, Q: np.ndarray, lambda1: float) -> np.ndarray:
     """Edge costs of the graph terms: weighted feature distances plus lambda1
     times embedding distances, as one weighted distance matrix over X stacked
@@ -316,11 +312,13 @@ def graph_cost(X: np.ndarray, w: np.ndarray, Q: np.ndarray, lambda1: float) -> n
     return weighted_sq_distances(np.vstack([X, Q.T]), weights)
 
 
-def update_multipliers(state: SolverState, dataset: MultiViewDataset,
-                       view: int) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
-    """Dual ascent on the three constraint gaps at step size mu: the new
-    (Lam1, Lam2, Lam3) and the gaps' max-abs entries (r_recon, r_u, r_a)."""
-    gaps = constraint_gaps(state, dataset, view)
+def update_multipliers(state: SolverState, view: int,
+                       recon_gap: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
+    """Dual ascent at step size mu on the three constraint gaps: ``recon_gap``,
+    X - XZ - E as update_e returned it, and Z - U and Z - A formed here. Returns
+    the new (Lam1, Lam2, Lam3) and the gaps' max-abs entries (r_recon, r_u, r_a)."""
+    Z = state.Z[view]
+    gaps = (recon_gap, Z - state.U[view], Z - state.A[view])
     lams = (state.Lam1[view], state.Lam2[view], state.Lam3[view])
     return (tuple(lam + state.mu * g for lam, g in zip(lams, gaps)),
             tuple(float(np.abs(g).max()) for g in gaps))
@@ -360,10 +358,10 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
             state.Z[v] = update_z(state, dataset, v)
             state.A[v] = update_a(state, dataset, config, v)
             state.U[v], u_term = update_u(state, config, v)
-            state.E[v] = update_e(state, dataset, config, v)
+            state.E[v], recon_gap = update_e(state, dataset, config, v)
             state.w[v], view_terms[v] = update_w(state, dataset, config, v)
             view_terms[v] += u_term
-            lams, gaps[v] = update_multipliers(state, dataset, v)
+            lams, gaps[v] = update_multipliers(state, v, recon_gap)
             state.Lam1[v], state.Lam2[v], state.Lam3[v] = lams
         state.Q, eig_sum = update_q(state)
         worst = np.max(gaps, axis=0)  # r_recon, r_u, r_a: each gap's maximum over the views

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mvsc.data import MultiViewDataset, ViewMatrix
-from mvsc.solver import SolverConfig, SolverState, precompute_gram
+from mvsc.solver import SolverConfig, SolverState, z_step_factors
 
 from oracles import random_orthonormal, random_row_stochastic_zero_diag
 
@@ -33,7 +33,7 @@ def make_random_state(dataset: MultiViewDataset, config: SolverConfig,
     Q = random_orthonormal(n, config.n_clusters, rng)
     mu = float(rng.uniform(0.05, 5.0)) if mu is None else mu
     return SolverState(Z=Z, A=A, U=U, E=E, Lam1=L1, Lam2=L2, Lam3=L3,
-                       w=w, Q=Q, mu=mu, z_factor=precompute_gram(dataset))
+                       w=w, Q=Q, mu=mu, z_factor=z_step_factors(dataset))
 
 
 def make_random_dataset(n: int, dims: tuple[int, ...], rng: np.random.Generator,

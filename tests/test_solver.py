@@ -376,8 +376,9 @@ class TestUpdateE:
         cfg = SolverConfig(n_clusters=2, lambda3=0.0, k_init=2)
         state = make_random_state(ds, cfg, rng, mu=1.5)
         X = ds.views[0].values
-        E = update_e(state, ds, cfg, 0)
+        E, gap = update_e(state, ds, cfg, 0)
         assert np.allclose(E, X - X @ state.Z[0] + state.Lam1[0] / 1.5, atol=1e-14)
+        assert np.array_equal(gap, X - X @ state.Z[0] - E)
 
     def test_full_shrinkage_gives_zero(self, rng):
         ds = make_random_dataset(5, (3,), rng)
@@ -385,16 +386,19 @@ class TestUpdateE:
         X = ds.views[0].values
         M = X - X @ state.Z[0] + state.Lam1[0]
         cfg = SolverConfig(n_clusters=2, lambda3=np.abs(M).max() + 1.0, k_init=2)
-        assert np.all(update_e(state, ds, cfg, 0) == 0.0)
+        E, gap = update_e(state, ds, cfg, 0)
+        assert np.all(E == 0.0)
+        assert np.array_equal(gap, X - X @ state.Z[0] - E)
 
     def test_elementwise_shrinkage_law(self, small_problem):
         ds, cfg, state = small_problem
         X = ds.views[0].values
         M = X - X @ state.Z[0] + state.Lam1[0] / state.mu
-        E = update_e(state, ds, cfg, 0)
+        E, gap = update_e(state, ds, cfg, 0)
         tau = cfg.lambda3 / state.mu
         want = np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
         assert np.array_equal(E, want)
+        assert np.array_equal(gap, X - X @ state.Z[0] - E)
 
 
 class TestUpdateW:
@@ -467,7 +471,7 @@ class TestMultipliersAndMu:
         state.U[0] = state.Z[0].copy()
         state.A[0] = state.Z[0].copy()
         state.E[0] = X - X @ state.Z[0]
-        (l1, l2, l3), _ = update_multipliers(state, ds, 0)
+        (l1, l2, l3), _ = update_multipliers(state, 0, X - X @ state.Z[0] - state.E[0])
         assert np.allclose(l1, state.Lam1[0], atol=1e-12)
         assert np.allclose(l2, state.Lam2[0], atol=1e-12)
         assert np.allclose(l3, state.Lam3[0], atol=1e-12)
@@ -477,7 +481,8 @@ class TestMultipliersAndMu:
         cfg = SolverConfig(n_clusters=2, k_init=1)
         state = make_random_state(ds, cfg, rng, mu=2.0)
         X = ds.views[0].values
-        _, gaps = update_multipliers(state, ds, 0)
+        state.E[0], recon_gap = update_e(state, ds, cfg, 0)
+        _, gaps = update_multipliers(state, 0, recon_gap)
         assert gaps == (np.abs(X - X @ state.Z[0] - state.E[0]).max(),
                         np.abs(state.Z[0] - state.U[0]).max(),
                         np.abs(state.Z[0] - state.A[0]).max())
@@ -487,7 +492,7 @@ class TestMultipliersAndMu:
         state.U[0] = state.Z[0] - 1.0  # Z - U = all-ones
         state.A[0] = state.Z[0].copy()
         state.E[0] = X - X @ state.Z[0]
-        (_, l2, _), gaps = update_multipliers(state, ds, 0)
+        (_, l2, _), gaps = update_multipliers(state, 0, X - X @ state.Z[0] - state.E[0])
         assert np.allclose(l2, 2.0, atol=1e-12)
         assert gaps == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
 
@@ -576,7 +581,7 @@ def apply_block(block, state, dataset, config):
             state.U[v], _ = update_u(state, config, v)
     elif block == "e":
         for v in range(state.n_views):
-            state.E[v] = update_e(state, dataset, config, v)
+            state.E[v], _ = update_e(state, dataset, config, v)
     elif block == "w":
         for v in range(state.n_views):
             state.w[v], _ = update_w(state, dataset, config, v)
@@ -657,9 +662,9 @@ class TestSolve:
                 state.Z[v] = update_z(state, ds, v)
                 state.A[v] = update_a(state, ds, cfg, v)
                 state.U[v], _ = update_u(state, cfg, v)
-                state.E[v] = update_e(state, ds, cfg, v)
+                state.E[v], recon_gap = update_e(state, ds, cfg, v)
                 state.w[v], _ = update_w(state, ds, cfg, v)
-                (state.Lam1[v], state.Lam2[v], state.Lam3[v]), _ = update_multipliers(state, ds, v)
+                (state.Lam1[v], state.Lam2[v], state.Lam3[v]), _ = update_multipliers(state, v, recon_gap)
                 assert state.A[v].min() >= 0.0
                 assert np.abs(state.A[v].sum(axis=1) - 1.0).max() <= 1e-9
                 assert np.all(np.diag(state.A[v]) == 0.0)
@@ -685,16 +690,45 @@ class TestSolve:
         assert len(seen) == result.iterations == 8
         assert np.array_equal(result.trace.objective, seen)
 
+    @pytest.mark.parametrize("mode", ["full", "uniform_weights", "no_spectral_norm"])
+    def test_multipliers_take_the_e_step_gap(self, mode, monkeypatch):
+        spec = SynthSpec(clusters=2, samples_per_cluster=8, view_dims=(3, 5), seed=6)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        views = []
+
+        def checked(state, view, recon_gap):
+            X = ds.views[view].values
+            assert np.array_equal(recon_gap, X - X @ state.Z[view] - state.E[view])
+            views.append(view)
+            return update_multipliers(state, view, recon_gap)
+
+        monkeypatch.setattr("mvsc.solver.update_multipliers", checked)
+        result = solve(ds, SolverConfig(n_clusters=2, max_iter=8, ablation=mode))
+        assert result.iterations == 8 and views == [0, 1] * 8
+
     def test_edge_costs_and_gaps_built_once_per_view(self, monkeypatch):
         spec = SynthSpec(clusters=3, samples_per_cluster=20, view_dims=(3, 5, 4), seed=6)
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
         n, iterations = ds.n_samples, 5
-        callers = {"graph_cost": [], "constraint_gaps": []}
-        for name, seen in callers.items():
-            def counted(*args, _real=getattr(mvsc.solver, name), _seen=seen):
-                _seen.append(sys._getframe(1).f_code.co_name)
-                return _real(*args)
-            monkeypatch.setattr(mvsc.solver, name, counted)
+        graph_callers, matmul_callers = [], []
+
+        def counted(*args, _real=mvsc.solver.graph_cost):
+            graph_callers.append(sys._getframe(1).f_code.co_name)
+            return _real(*args)
+
+        monkeypatch.setattr(mvsc.solver, "graph_cost", counted)
+
+        class CountedView(np.ndarray):
+            # records the caller of every matmul whose left operand is a view
+            # matrix itself (not X^T), and computes on plain arrays
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul and any(inputs[0] is view.values for view in ds.views):
+                    matmul_callers.append(sys._getframe(1).f_code.co_name)
+                inputs = [x.view(np.ndarray) if isinstance(x, CountedView) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        for view in ds.views:
+            object.__setattr__(view, "values", view.values.view(CountedView))
         peaks = []
 
         def measured(*args):
@@ -708,8 +742,9 @@ class TestSolve:
         monkeypatch.setattr(mvsc.solver, "evaluate_objective", measured)
         result = solve(ds, SolverConfig(n_clusters=3, max_iter=iterations))
         assert result.iterations == iterations
-        assert callers["graph_cost"] == ["update_a"] * (ds.n_views * iterations)
-        assert callers["constraint_gaps"] == ["update_multipliers"] * (ds.n_views * iterations)
+        assert graph_callers == ["update_a"] * (ds.n_views * iterations)
+        # X Z in the E-step and X L(A) in the w-step; the multipliers reuse the E-step's gap
+        assert matmul_callers == ["update_e", "update_w"] * (ds.n_views * iterations)
         # the objective allocates no n x n array
         assert len(peaks) == iterations and max(peaks) < 8 * n * n
 
