@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .data import (
     normalize,
     parse_labels_csv,
     save_dataset,
+    write_csv,
 )
 from .graph_ops import laplacian
 from .metrics import MetricReport, compute_metrics
@@ -129,14 +131,11 @@ def _percent(report: MetricReport) -> dict[str, float]:
     return {name: round(100.0 * value, 4) for name, value in asdict(report).items()}
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_json(path: str | None, payload: dict) -> None:
+    """Write ``payload`` as indented, key-sorted JSON to ``path``, or to stdout without one."""
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
-    np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
 
 
 def _write_manifest(path: str, config: dict, dataset: MultiViewDataset, labels: np.ndarray,
@@ -196,9 +195,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     trace_path = args.trace or str(Path(args.out).with_suffix(".trace.csv"))
     result.trace.write_csv(trace_path)
     if args.similarity_out:
-        _write_matrix_csv(args.similarity_out, result.fused_similarity)
+        write_csv(args.similarity_out, result.fused_similarity)
     if args.laplacian_out:
-        _write_matrix_csv(args.laplacian_out, laplacian(result.fused_similarity))
+        write_csv(args.laplacian_out, laplacian(result.fused_similarity))
     _write_manifest(args.out, _config_echo(config, args), dataset, result.labels, result.weights,
                     result.converged, result.iterations, elapsed)
     print(f"wrote {args.out} (converged={result.converged}, iterations={result.iterations})")
@@ -235,17 +234,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for point, config in zip(grid, configs):
         result = solve(dataset, config)
         report = _percent(compute_metrics(dataset.labels, result.labels))
-        rows.append((point, report, result.iterations))
+        rows.append([*point, *report.values(), result.iterations])
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        metric_names = (f.name for f in fields(MetricReport))
-        fh.write(",".join([*_GRID_FIELDS, *metric_names, "iterations"]) + "\n")
-        for point, report, iterations in rows:
-            fh.write(
-                "".join(f"{value:.17g}," for value in point)
-                + "".join(f"{value:.4f}," for value in report.values())
-                + f"{iterations}\n"
-            )
+    metric_names = [f.name for f in fields(MetricReport)]
+    write_csv(args.out, rows,
+              fmt=["%.17g"] * len(_GRID_FIELDS) + ["%.4f"] * len(metric_names) + ["%d"],
+              header=",".join([*_GRID_FIELDS, *metric_names, "iterations"]))
     print(f"wrote {args.out} ({len(rows)} grid points)")
     return 0
 
@@ -254,12 +248,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     truth = parse_labels_csv(args.truth)
     pred = parse_labels_csv(args.pred)
     report = compute_metrics(truth, pred)
-    payload = {"n": int(truth.size), "metrics": _percent(report)}
+    _write_json(args.out, {"n": int(truth.size), "metrics": _percent(report)})
     if args.out:
-        _write_json(args.out, payload)
         print(f"wrote {args.out}")
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 

@@ -1,10 +1,14 @@
-"""Dataset representation, CSV ingestion, normalization, and synthetic data.
+"""Dataset representation, the CSV format, normalization, and synthetic data.
+
+Every CSV the package writes goes through ``write_csv`` (comma-separated,
+``%.17g`` by default, so float64 reads back exactly), and every CSV it
+reads goes through one parser, which reports bad input at ``path:line``.
 
 On disk a dataset is a directory of ``view_1.csv .. view_k.csv`` (rows =
 samples, columns = features, no header) plus an optional ``labels.csv``
-with one integer per row. In memory each view is stored transposed as a
-d_v x n matrix so samples are columns, which keeps the solver algebra in
-its natural orientation.
+with one int64 label per row, taken verbatim. In memory each view is stored
+transposed as a d_v x n matrix so samples are columns, which keeps the
+solver algebra in its natural orientation.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from pathlib import Path
 import numpy as np
 
 NormalizationScheme = ("none", "unit_l2_per_sample", "minmax_per_feature")
+
+_VIEW_FILE = re.compile(r"^view_(\d+)\.csv$")
 
 
 class DatasetFormatError(ValueError):
@@ -128,8 +134,19 @@ class SynthSpec:
             raise ValueError("view dims must be >= 1 and noise counts >= 0")
 
 
-def _parse_numeric_csv(path: Path) -> np.ndarray:
-    rows: list[list[float]] = []
+def write_csv(path: str | Path, rows, fmt: str | list[str] = "%.17g", header: str = "") -> None:
+    """Write ``rows`` as comma-separated lines, after ``header`` when it is not empty.
+
+    The default ``%.17g`` keeps 17 significant digits, so float64 reads back
+    exactly; ``fmt`` may also be a sequence of one format per column.
+    """
+    np.savetxt(path, rows, fmt=fmt, delimiter=",", header=header, comments="")
+
+
+def _parse_numeric_csv(path: Path, convert=float, width: int | None = None) -> np.ndarray:
+    """Read comma-separated rows, skipping blank lines, with ``convert`` applied to
+    each cell; every row must have ``width`` cells, or as many as the first row."""
+    rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -139,37 +156,37 @@ def _parse_numeric_csv(path: Path) -> np.ndarray:
             row = []
             for col, cell in enumerate(cells, start=1):
                 try:
-                    row.append(float(cell))
-                except ValueError:
-                    raise DatasetFormatError(
-                        f"{path}:{lineno}: non-numeric cell {cell!r} in column {col}"
-                    ) from None
-            if rows and len(row) != len(rows[0]):
+                    row.append(convert(cell))
+                except ValueError as exc:
+                    raise DatasetFormatError(f"{path}:{lineno}: column {col}: {exc}") from None
+            width = width or len(row)
+            if len(row) != width:
                 raise DatasetFormatError(
-                    f"{path}:{lineno}: ragged row with {len(row)} cells, expected {len(rows[0])}"
+                    f"{path}:{lineno}: ragged row with {len(row)} cells, expected {width}"
                 )
             rows.append(row)
     if not rows:
         raise DatasetFormatError(f"{path}: file is empty")
-    return np.array(rows, dtype=float)
+    return np.array(rows)
+
+
+def _label(cell: str) -> int:
+    """An int64 label: an integer literal taken exactly, or an integral float such as 1e3."""
+    try:
+        value = int(cell)
+    except ValueError:
+        value = float(cell)
+        if not value.is_integer():
+            raise ValueError(f"label {cell!r} is not an integer") from None
+        value = int(value)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"label {cell!r} is outside int64")
+    return value
 
 
 def parse_labels_csv(path: str | Path) -> np.ndarray:
-    """Read one integer label per non-blank line, kept verbatim."""
-    labels: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise DatasetFormatError(f"{path}:{lineno}: non-numeric label {line!r}") from None
-            if not value.is_integer():
-                raise DatasetFormatError(f"{path}:{lineno}: label {line!r} is not an integer")
-            labels.append(int(value))
-    return np.array(labels, dtype=int)
+    """Read one int64 label per non-blank line, kept verbatim."""
+    return _parse_numeric_csv(Path(path), _label, width=1).ravel()
 
 
 def load_dataset(directory_path: str | Path) -> MultiViewDataset:
@@ -182,11 +199,10 @@ def load_dataset(directory_path: str | Path) -> MultiViewDataset:
     if not directory.is_dir():
         raise DatasetFormatError(f"{directory}: not a directory")
 
-    pattern = re.compile(r"^view_(\d+)\.csv$")
     indexed = sorted(
         (int(m.group(1)), p)
         for p in directory.iterdir()
-        if (m := pattern.match(p.name))
+        if (m := _VIEW_FILE.match(p.name))
     )
     if not indexed:
         raise DatasetFormatError(f"{directory}: no view_<i>.csv files found")
@@ -222,15 +238,22 @@ def save_dataset(dataset: MultiViewDataset, directory_path: str | Path) -> None:
     """Write the dataset in the on-disk layout (samples as CSV rows).
 
     Values are written with 17 significant digits so a load round-trips
-    float64 exactly.
+    float64 exactly. A directory holding a view file this dataset does not
+    write, or a ``labels.csv`` when it has no labels, is refused before
+    anything is written, since a load would read those files back.
     """
     directory = Path(directory_path)
     directory.mkdir(parents=True, exist_ok=True)
-    for view in dataset.views:
-        np.savetxt(directory / f"view_{view.view_index + 1}.csv", view.values.T,
-                   fmt="%.17g", delimiter=",")
+    names = [f"view_{view.view_index + 1}.csv" for view in dataset.views]
+    stale = sorted(p.name for p in directory.iterdir()
+                   if _VIEW_FILE.match(p.name) and p.name not in names
+                   or p.name == "labels.csv" and dataset.labels is None)
+    if stale:
+        raise DatasetFormatError(f"{directory}: holds {', '.join(stale)} of another dataset")
+    for name, view in zip(names, dataset.views):
+        write_csv(directory / name, view.values.T)
     if dataset.labels is not None:
-        np.savetxt(directory / "labels.csv", dataset.labels, fmt="%d")
+        write_csv(directory / "labels.csv", dataset.labels, fmt="%d")
 
 
 def normalize(dataset: MultiViewDataset, scheme: str) -> MultiViewDataset:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import MultiViewDataset
+from .data import MultiViewDataset, write_csv
 from .graph_ops import fuse_similarity, knn_affinity, laplacian, weighted_sq_distances
 from .graph_ops import pairwise_sq_distances  # noqa: F401  (perfbench/tracer.py binds it here)
 from .prox_ops import _project_rows_simplex_zero_diag, prox_spectral_norm, soft_threshold
@@ -123,11 +123,9 @@ class ConvergenceTrace:
 
     def write_csv(self, path) -> None:
         names = [f.name for f in fields(self)]
-        columns = [getattr(self, name) for name in names]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(["iteration", *names]) + "\n")
-            for i in range(len(self)):
-                fh.write(f"{i}" + "".join(f",{column[i]:.17g}" for column in columns) + "\n")
+        columns = [np.arange(len(self)), *(getattr(self, name) for name in names)]
+        write_csv(path, np.column_stack(columns), fmt=["%d"] + ["%.17g"] * len(names),
+                  header=",".join(["iteration", *names]))
 
 
 @dataclass(frozen=True)
@@ -243,8 +241,6 @@ def update_a(state: SolverState, dataset: MultiViewDataset, config: SolverConfig
              view: int) -> np.ndarray:
     """Row-wise simplex projection combining weighted feature distances,
     embedding distances, and the penalty pull toward Z + Lam3/mu."""
-    if state.mu <= 0:
-        raise ValueError("penalty mu must be positive")
     mu = state.mu
     D = graph_cost(dataset.views[view].values, state.w[view], state.Q, config.lambda1)
     D -= mu * (state.Z[view] + state.Lam3[view] / mu)
