@@ -156,6 +156,19 @@ def _write_manifest(path: str, config: dict, dataset: MultiViewDataset, labels: 
     _write_json(path, manifest)
 
 
+def _check_out_dirs(*targets: tuple[str, str | None]) -> None:
+    """ValueError naming the option of the first ``(option, path)`` target whose
+    directory is missing or is not a directory; run before loading, so that a
+    mistyped path fails before the solve and not after it."""
+    for option, path in targets:
+        if path is None:
+            continue
+        parent = Path(path).parent
+        if not parent.is_dir():
+            problem = "is not a directory" if parent.exists() else "does not exist"
+            raise ValueError(f"{option} {path}: {parent} {problem}")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = SynthSpec(
         clusters=args.clusters,
@@ -184,6 +197,9 @@ def _config_echo(config: SolverConfig, args: argparse.Namespace) -> dict:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
+    _check_out_dirs(("-o", args.out), ("--trace", args.trace),
+                    ("--similarity-out", args.similarity_out),
+                    ("--laplacian-out", args.laplacian_out))
     dataset = load_dataset(args.data_dir)
     dataset = normalize(dataset, args.normalize)
     config = _solver_config_from_args(args)
@@ -207,6 +223,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_baseline(args: argparse.Namespace) -> int:
     if args.seed < 0 or args.clusters < 2:
         raise ValueError("--seed must be >= 0" if args.seed < 0 else "--clusters must be >= 2")
+    _check_out_dirs(("-o", args.out))
     dataset = load_dataset(args.data_dir)
     if args.clusters > dataset.n_samples:
         raise ValueError(f"--clusters must be <= {dataset.n_samples}, the number of samples")
@@ -222,6 +239,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_out_dirs(("-o", args.out))
     dataset = load_dataset(args.data_dir)
     if dataset.labels is None:
         raise DatasetFormatError(f"{args.data_dir}: sweep requires labels.csv")

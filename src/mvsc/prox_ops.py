@@ -6,12 +6,128 @@ coordinate (the self-affinity) to zero, and the spectral-norm prox, which
 thresholds singular values (Cai, Candes & Shen 2010) taken from one
 eigendecomposition of M^T M: its top k eigenpairs, with the full spectrum
 as k = n. Elementwise soft-thresholding is the prox of the l1 norm.
+
+Every symmetric eigenproblem in the package goes through ``SymmetricEigh``:
+LAPACK's dsyevr (MRRR; Dhillon, Parlett & Voemel 2006), reached through the
+function pointer that ``scipy.linalg.cython_lapack`` exports and called with
+ctypes, which releases the GIL for the call. So a decomposition can run on a
+second thread while the first keeps computing.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
-import scipy.linalg
+import scipy.linalg.cython_lapack
+
+# the C signature of scipy.linalg.cython_lapack.dsyevr, with Cython's name for
+# double spelled out; checked at import, so a changed ABI fails loudly
+DSYEVR_SIGNATURE = ("void (char *, char *, char *, int *, double *, int *, double *, double *, "
+                    "int *, int *, double *, int *, double *, double *, int *, int *, double *, "
+                    "int *, int *, int *, int *)")
+_CYTHON_DOUBLE = "__pyx_t_5scipy_6linalg_13cython_lapack_d"
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _lapack_function(name: str, signature: str):
+    """The routine ``name`` of scipy.linalg.cython_lapack as a ctypes function
+    taking its character arguments as bytes and every other one as an address;
+    ImportError unless its C signature is ``signature``."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    raw = _capsule_name(capsule)
+    if raw.decode().replace(_CYTHON_DOUBLE, "double") != signature:
+        raise ImportError(f"scipy.linalg.cython_lapack.{name} has the signature "
+                          f"{raw.decode()!r}, not {signature!r}")
+    argtypes = [ctypes.c_char_p if arg == "char *" else ctypes.c_void_p
+                for arg in signature[len("void ("):-1].split(", ")]
+    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, raw))
+
+
+_dsyevr = _lapack_function("dsyevr", DSYEVR_SIGNATURE)
+
+
+class SymmetricEigh:
+    """One dsyevr call: eigenvalues lo..hi (0-based, ascending) of the symmetric
+    n x n ``a`` and their orthonormal eigenvectors, from a's lower triangle.
+
+    The arguments are those scipy.linalg.eigh(a, subset_by_index=(lo, hi))
+    passes to dsyevr, its default for this problem, workspace size included,
+    so the bits are the same.
+    ``a`` must be an F-contiguous float64 array: the call uses it as LAPACK's
+    work matrix and destroys its lower triangle. The constructor checks that
+    ``a`` is finite (ValueError otherwise, as eigh's check_finite), allocates
+    every buffer and sizes the workspace by LAPACK's query. Calling the object
+    runs LAPACK, with the GIL released, and returns ``(values, vectors)``;
+    after ``start(pool)`` LAPACK runs on the pool's thread instead, and
+    calling the object waits for it.
+    """
+
+    def __init__(self, a: np.ndarray, lo: int, hi: int) -> None:
+        if (a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1]
+                or not a.flags.f_contiguous or not a.flags.writeable):
+            raise ValueError("a must be a square, writeable, F-contiguous float64 array")
+        n = a.shape[0]
+        if not 0 <= lo <= hi < n:
+            raise ValueError(f"need 0 <= lo <= hi < {n}, got lo={lo}, hi={hi}")
+        # min and max propagate NaN and allocate nothing
+        if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            raise ValueError("array must not contain infs or NaNs")
+        k = hi - lo + 1
+        self.a = a
+        # n, lda, il, iu, m (out), ldz, lwork, liwork, info (out)
+        self.ints = np.array([n, n, lo + 1, hi + 1, 0, n, -1, -1, 0], dtype=np.intc)
+        self.reals = np.zeros(3)  # vl, vu (unused with range "I") and abstol = 0
+        self.w = np.empty(n)
+        self.z = np.empty((n, k), order="F")
+        self.isuppz = np.empty(2 * k, dtype=np.intc)
+        self.work, self.iwork = np.empty(1), np.empty(1, dtype=np.intc)
+        _dsyevr(*self._pointers())  # workspace query: the sizes land in work[0] and iwork[0]
+        self.ints[6:8] = int(self.work[0]), self.iwork[0]
+        self.work, self.iwork = np.empty(self.ints[6]), np.empty(self.ints[7], dtype=np.intc)
+        self._args = self._pointers()  # valid while self holds the arrays
+        self._future = None
+
+    def _pointers(self) -> tuple:
+        ints, reals = self.ints.ctypes.data, self.reals.ctypes.data
+        i, d = self.ints.itemsize, self.reals.itemsize
+        return (b"V", b"I", b"L", ints, self.a.ctypes.data, ints + i, reals, reals + d,
+                ints + 2 * i, ints + 3 * i, reals + 2 * d, ints + 4 * i, self.w.ctypes.data,
+                self.z.ctypes.data, ints + 5 * i, self.isuppz.ctypes.data,
+                self.work.ctypes.data, ints + 6 * i, self.iwork.ctypes.data, ints + 7 * i,
+                ints + 8 * i)
+
+    def _lapack(self) -> None:
+        _dsyevr(*self._args)
+
+    def start(self, pool) -> None:
+        """Submit the LAPACK call, and nothing else, to ``pool``; the submitted
+        bound method keeps every buffer alive until the call returns."""
+        self._future = pool.submit(self._lapack)
+
+    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._future is None:
+            self._lapack()
+        else:
+            self._future.result()
+        info = int(self.ints[8])
+        if info < 0:
+            raise ValueError(f"dsyevr: argument {-info} had an illegal value")
+        if info > 0:
+            raise np.linalg.LinAlgError("dsyevr: internal error")
+        m = int(self.ints[4])
+        return self.w[:m], self.z[:, :m]
+
+
+def eigh_range(a: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lo..hi (0-based, ascending) of the symmetric ``a`` and their
+    eigenvectors, from a's lower triangle, which is not modified: the same bits
+    as scipy.linalg.eigh(a, subset_by_index=(lo, hi))."""
+    return SymmetricEigh(np.array(a, dtype=float, order="F"), lo, hi)()
 
 
 def _sort_threshold(u: np.ndarray, total: float) -> np.ndarray:
@@ -19,21 +135,40 @@ def _sort_threshold(u: np.ndarray, total: float) -> np.ndarray:
     sum(max(u - theta, 0)) = total; requires total > 0."""
     csum = np.cumsum(u, axis=1)
     j = np.arange(1, u.shape[1] + 1)
-    active = u - (csum - total) / j > 0
+    # u - (csum - total) / j, built in one scratch array
+    gap = csum - total
+    gap /= j
+    np.subtract(u, gap, out=gap)
+    active = gap > 0
+    del gap
     # last active position per row; the first is always active as total > 0
     last = u.shape[1] - 1 - np.argmax(active[:, ::-1], axis=1)
     return (csum[np.arange(u.shape[0]), last] - total) / (last + 1)
 
 
+_PROJECTION_ROWS = 128  # rows sorted at a time, which bounds the sort's scratch at 128 x n
+
+
 def _project_rows_simplex_zero_diag(V: np.ndarray) -> np.ndarray:
     """Project each row i of V onto the probability simplex with coordinate i
     pinned to 0: min_a ||a - v_i||^2 s.t. a >= 0, sum a = 1, a_i = 0, whose
-    solution is a_j = max(v_ij - theta_i, 0) off the diagonal."""
+    solution is a_j = max(v_ij - theta_i, 0) off the diagonal. The thresholds
+    come from blocks of ``_PROJECTION_ROWS`` rows, so the sort's scratch stays
+    a few such blocks beside V."""
+    V = np.asarray(V, dtype=float)
     n = V.shape[0]
-    Vf = V.copy()
-    np.fill_diagonal(Vf, -np.inf)
-    u = -np.sort(-Vf, axis=1)[:, : n - 1]
-    A = np.maximum(V - _sort_threshold(u, 1.0)[:, None], 0.0)
+    theta = np.empty(n)
+    for start in range(0, n, _PROJECTION_ROWS):
+        rows = V[start:start + _PROJECTION_ROWS]
+        m = rows.shape[0]
+        # each row sorted descending with its own entry last, as -sort(-v)
+        u = np.negative(rows)
+        u[np.arange(m), np.arange(start, start + m)] = np.inf
+        u.sort(axis=1)
+        np.negative(u, out=u)
+        theta[start:start + m] = _sort_threshold(u[:, : n - 1], 1.0)
+    A = V - theta[:, None]
+    np.maximum(A, 0.0, out=A)
     np.fill_diagonal(A, 0.0)
     return A
 
@@ -46,8 +181,24 @@ def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
 
 
-def prox_spectral_norm(M: np.ndarray, t: float,
-                       k_hint: int | None = None) -> tuple[np.ndarray, float, int]:
+def gram_eigh(M: np.ndarray, k_hint: int | None = None, k: int | None = None) -> SymmetricEigh:
+    """The prox's decomposition of M, ready to run: G = M^T M, formed here in
+    an F-ordered buffer, with the dsyevr call for its top k eigenpairs.
+
+    k is ``k`` when given, else the prox's first choice for the hint
+    ``k_hint`` (see prox_spectral_norm). The solver starts the call on a
+    worker thread while the view's A-, E- and w-steps run.
+    """
+    n = M.shape[1]
+    if k is None:
+        k = n if k_hint is None or 4 * (k_hint + 2) > n else k_hint + 2
+    G = np.empty((n, n), order="F")
+    np.matmul(M.T, M, out=G)
+    return SymmetricEigh(G, n - k, n - 1)
+
+
+def prox_spectral_norm(M: np.ndarray, t: float, k_hint: int | None = None,
+                       first: SymmetricEigh | None = None) -> tuple[np.ndarray, float, int]:
     """Proximal map U of t*||.||_2 (largest singular value) at M, ||U||_2, and
     how many singular values it clipped.
 
@@ -61,7 +212,9 @@ def prox_spectral_norm(M: np.ndarray, t: float,
     s and Q come from the k largest eigenpairs of G = M^T M: k = k_hint + 2
     (``k_hint`` is typically the previous call's clipped count), or k = n
     (M's column count) with no hint or once k passes n/4, where a partial
-    decomposition stops paying. theta from the top k is exact once the k-th
+    decomposition stops paying. ``first``, when given, is
+    ``gram_eigh(M, k_hint)``, possibly started on a worker thread, and stands
+    in for the first decomposition. theta from the top k is exact once the k-th
     value is <= theta, since the rest then lie below theta too; otherwise k
     doubles, or becomes n when the k values sum to at most t. Then
     U = M - (M Q_a) diag(1 - theta/s_a) Q_a^T over the clipped set a. Values
@@ -74,15 +227,15 @@ def prox_spectral_norm(M: np.ndarray, t: float,
         raise ValueError("t must be positive")
     M = np.asarray(M, dtype=float)
     n = M.shape[1]
-    G = M.T @ M
-    k = n if k_hint is None or 4 * (k_hint + 2) > n else k_hint + 2
+    lam, V = (gram_eigh(M, k_hint) if first is None else first)()
+    k = V.shape[1]
     while True:
-        lam, V = scipy.linalg.eigh(G, subset_by_index=(n - k, n - 1), driver="evr")
         s = np.sqrt(np.maximum(lam[::-1], 0.0))
         theta = _sort_threshold(s[None, :], t)[0]  # <= 0 iff the k values sum to <= t
         if k == n or s[-1] <= theta:
             break
         k = 2 * k if theta > 0 and 8 * k <= n else n
+        lam, V = gram_eigh(M, k=k)()
     bound = np.sqrt(n * np.finfo(float).eps) * s[0]
     if theta <= bound:
         return np.zeros_like(M), 0.0, int(np.count_nonzero(s > bound))

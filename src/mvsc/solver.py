@@ -8,11 +8,14 @@ one spectral embedding Q. The solver alternates exact block minimizers of
 the augmented Lagrangian with dual ascent on the three constraint gaps
 (X - XZ - E, Z - U, Z - A) under a geometrically growing penalty; the
 E-step hands over the reconstruction gap, so XZ is formed once per view and
-iteration.
+iteration. Each view's U-step decomposition runs on a worker thread while the
+same view's A-, E- and w-steps, which read neither U nor Lam2, run on the
+calling thread.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -20,7 +23,8 @@ import numpy as np
 from .data import MultiViewDataset, write_csv
 from .graph_ops import fuse_similarity, knn_affinity, laplacian, weighted_sq_distances
 from .graph_ops import pairwise_sq_distances  # noqa: F401  (perfbench/tracer.py binds it here)
-from .prox_ops import _project_rows_simplex_zero_diag, prox_spectral_norm, soft_threshold
+from .prox_ops import SymmetricEigh, _project_rows_simplex_zero_diag, gram_eigh
+from .prox_ops import prox_spectral_norm, soft_threshold
 from .spectral import kmeans, smallest_eigvecs
 
 ABLATION_MODES = ("full", "uniform_weights", "no_spectral_norm")
@@ -88,6 +92,9 @@ class SolverState:
     only on the data, never on iterates, and no n x n inverse is stored.
     ``clipped`` maps a view to how many singular values its last U-step
     prox clipped, the next prox's hint; a view has no entry before its first.
+    ``pending`` maps a view to its U-step input M = Z + Lam2/mu and M's first
+    decomposition, started on a worker thread, from ``submit_u`` until update_u
+    takes them.
     """
 
     Z: list[np.ndarray]
@@ -102,6 +109,8 @@ class SolverState:
     mu: float
     z_factor: list[np.ndarray] = field(default_factory=list, repr=False)
     clipped: dict[int, int] = field(default_factory=dict)
+    pending: dict[int, tuple[np.ndarray, SymmetricEigh]] = field(default_factory=dict,
+                                                               repr=False)
 
     @property
     def n_views(self) -> int:
@@ -181,25 +190,48 @@ def _memory_budget() -> int | None:
     return min(budgets) if budgets else None
 
 
+def _dense_bytes(dataset: MultiViewDataset) -> tuple[int, int]:
+    """Bytes of the dense solver state and of what a solve needs beside it.
+
+    The state holds, per view, five n x n float64 matrices (Z, A, U, Lam2,
+    Lam3) and the n x min(d, n) Z-step factor: 8 n (5 n + min(d, n)) bytes.
+    Beside it a solve holds, per view, the d x n blocks E and Lam1, and one
+    view's per-iteration scratch at a time: 9 n^2 + 5 n max(d) values. The
+    scratch figure bounds the peak of a whole solve as tracemalloc measured
+    it, less the state, E and Lam1, over all three ablation modes: 8.3 n^2 at
+    n = 120 and 5.6 n^2 at n = 300 for views of d <= 30, and 9 n^2 plus up to
+    4.7 n d for views of d = 200 and 600 at n = 60. Its largest part is the
+    A-step's, with the U-step's M, M^T M and eigenvectors alive beside it
+    while the worker decomposes M^T M.
+    """
+    n = dataset.n_samples
+    dims = [view.n_features for view in dataset.views]
+    state = 8 * n * sum(5 * n + min(d, n) for d in dims)
+    return state, 8 * n * (2 * sum(dims) + 9 * n + 5 * max(dims))
+
+
+def _check_memory(n: int, needed: int, what: str) -> None:
+    """ValueError when ``needed`` bytes exceed ``_memory_budget()``."""
+    budget = _memory_budget()
+    if budget is not None and needed > budget:
+        raise ValueError(f"n = {n} samples need {needed} bytes of {what}, "
+                         f"more than the {budget} bytes of memory available")
+
+
 def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
     """Starting point: kNN graphs for Z = A = U, zero E and multipliers,
     uniform feature weights, and Q from the Laplacian of the summed initial graphs.
 
-    The state holds, per view, five n x n float64 matrices (Z, A, U, Lam2,
-    Lam3) and the n x min(d, n) Z-step factor: 8 n (5 n + min(d, n)) bytes.
-    When the views' total exceeds ``_memory_budget()``, this raises
-    ValueError before allocating any n x n matrix.
+    When the dense state (``_dense_bytes``) exceeds ``_memory_budget()``, this
+    raises ValueError before allocating any n x n matrix; ``solve`` checks the
+    state together with what its iterations need beside it.
     """
     n = dataset.n_samples
     if not 1 <= config.k_init <= n - 1:
         raise ValueError(f"k_init must be in [1, {n - 1}], got {config.k_init}")
     if config.n_clusters > n:
         raise ValueError(f"n_clusters {config.n_clusters} exceeds sample count {n}")
-    needed = 8 * n * sum(5 * n + min(view.n_features, n) for view in dataset.views)
-    budget = _memory_budget()
-    if budget is not None and needed > budget:
-        raise ValueError(f"n = {n} samples need {needed} bytes of dense solver state, "
-                         f"more than the {budget} bytes of memory available")
+    _check_memory(n, _dense_bytes(dataset)[0], "dense solver state")
 
     Z, A, U, E, Lam1, Lam2, Lam3, w = [], [], [], [], [], [], [], []
     for view in dataset.views:
@@ -243,9 +275,16 @@ def update_a(state: SolverState, dataset: MultiViewDataset, config: SolverConfig
     embedding distances, and the penalty pull toward Z + Lam3/mu."""
     mu = state.mu
     D = graph_cost(dataset.views[view].values, state.w[view], state.Q, config.lambda1)
-    D -= mu * (state.Z[view] + state.Lam3[view] / mu)
+    # D - mu (Z + Lam3/mu), then -D/mu, in place: the same bits, one scratch matrix
+    pull = state.Lam3[view] / mu
+    pull += state.Z[view]
+    pull *= mu
+    D -= pull
+    del pull
+    np.negative(D, out=D)
+    D /= mu
     # row i: simplex projection of -d_i / mu with a_ii pinned to 0
-    return _project_rows_simplex_zero_diag(-D / mu)
+    return _project_rows_simplex_zero_diag(D)
 
 
 def update_q(state: SolverState) -> tuple[np.ndarray, float]:
@@ -256,15 +295,34 @@ def update_q(state: SolverState) -> tuple[np.ndarray, float]:
     return Q, float(values.sum())
 
 
-def update_u(state: SolverState, config: SolverConfig, view: int) -> tuple[np.ndarray, float]:
-    """Spectral-norm proximal step on Z + Lam2/mu at weight lambda2/mu: U and the
-    objective's U term lambda2 * ||U||_2. At weight 0 it is the identity, with no prox.
-    The view's last clipped count is the prox's top-k hint, and the new count replaces it."""
+def submit_u(state: SolverState, config: SolverConfig, view: int,
+             pool: ThreadPoolExecutor) -> None:
+    """Start the view's U-step decomposition on ``pool``: form M = Z + Lam2/mu and
+    G = M^T M, and start the LAPACK call of gram_eigh(M, hint), with the view's
+    last clipped count as the hint, keeping M and the call in ``state.pending``
+    for update_u. At weight 0 there is no prox, so nothing starts. The pool's
+    thread runs the LAPACK call only, on buffers allocated here."""
+    if config.effective_lambda2 / state.mu == 0:
+        return
     M = state.Z[view] + state.Lam2[view] / state.mu
+    eigh = gram_eigh(M, state.clipped.get(view))
+    eigh.start(pool)
+    state.pending[view] = M, eigh
+
+
+def update_u(state: SolverState, config: SolverConfig, view: int) -> tuple[np.ndarray, float]:
+    """Spectral-norm proximal step on M = Z + Lam2/mu at weight lambda2/mu: U and the
+    objective's U term lambda2 * ||U||_2. At weight 0 it is the identity, with no prox.
+    The view's last clipped count is the prox's top-k hint, and the new count replaces it.
+    M and its first decomposition come from ``state.pending`` when submit_u started them."""
+    M, first = state.pending.pop(view, (None, None))
+    if M is None:
+        M = state.Z[view] + state.Lam2[view] / state.mu
     t = config.effective_lambda2 / state.mu
     if t == 0:
         return M, 0.0
-    U, norm, state.clipped[view] = prox_spectral_norm(M, t, state.clipped.get(view))
+    U, norm, state.clipped[view] = prox_spectral_norm(M, t, state.clipped.get(view),
+                                                      first=first)
     return U, config.effective_lambda2 * norm
 
 
@@ -308,16 +366,26 @@ def graph_cost(X: np.ndarray, w: np.ndarray, Q: np.ndarray, lambda1: float) -> n
     return weighted_sq_distances(np.vstack([X, Q.T]), weights)
 
 
+def _max_abs(M: np.ndarray) -> float:
+    """max |m| over M, from its max and min, without an |M| array."""
+    return float(max(abs(M.max()), abs(M.min())))
+
+
 def update_multipliers(state: SolverState, view: int,
                        recon_gap: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
     """Dual ascent at step size mu on the three constraint gaps: ``recon_gap``,
     X - XZ - E as update_e returned it, and Z - U and Z - A formed here. Returns
-    the new (Lam1, Lam2, Lam3) and the gaps' max-abs entries (r_recon, r_u, r_a)."""
-    Z = state.Z[view]
-    gaps = (recon_gap, Z - state.U[view], Z - state.A[view])
-    lams = (state.Lam1[view], state.Lam2[view], state.Lam3[view])
-    return (tuple(lam + state.mu * g for lam, g in zip(lams, gaps)),
-            tuple(float(np.abs(g).max()) for g in gaps))
+    the new (Lam1, Lam2, Lam3) and the gaps' max-abs entries (r_recon, r_u, r_a).
+    Each n x n gap becomes its new multiplier in place."""
+    Z, mu = state.Z[view], state.mu
+    lams, norms = [state.Lam1[view] + mu * recon_gap], [_max_abs(recon_gap)]
+    for block, lam in ((state.U[view], state.Lam2[view]), (state.A[view], state.Lam3[view])):
+        gap = Z - block
+        norms.append(_max_abs(gap))
+        gap *= mu
+        gap += lam
+        lams.append(gap)
+    return tuple(lams), tuple(norms)
 
 
 def step_mu(state: SolverState, config: SolverConfig) -> float:
@@ -339,33 +407,44 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
     """Run the full alternating scheme and label the samples by k-means on Q.
 
     Per outer iteration, each view updates Z, A, U, E, w and its
-    multipliers in turn; then the shared Q is refreshed and the penalty
-    grows. Stops when all constraint gaps fall below ``config.tol`` or the
+    multipliers; then the shared Q is refreshed and the penalty grows. The
+    U-step reads only Z and Lam2, which the A-, E- and w-steps neither read
+    nor write, so each view runs Z, A, E, w, U, multipliers, with the same
+    bits as Z, A, U, E, w: after the Z-step, submit_u hands the U-step's
+    LAPACK call to one worker thread, which runs it beside the A-, E- and
+    w-steps, and update_u waits for it. The worker lives for the call.
+    Stops when all constraint gaps fall below ``config.tol`` or the
     iteration budget runs out. Deterministic for a fixed config and data.
     The fused similarity's Laplacian is (1/V) sum_v L(A_v): its bottom eigenvectors span Q.
+    Before initializing, it checks the dense state plus what the iterations
+    need beside it (``_dense_bytes``) against available memory.
     """
+    _check_memory(dataset.n_samples, sum(_dense_bytes(dataset)),
+                  "dense solver state and per-iteration scratch")
     state = initialize(dataset, config)
     rows: list[tuple[float, ...]] = []
     converged = False
     view_terms, gaps = [0.0] * state.n_views, [None] * state.n_views
 
-    for _ in range(config.max_iter):
-        for v in range(state.n_views):
-            state.Z[v] = update_z(state, dataset, v)
-            state.A[v] = update_a(state, dataset, config, v)
-            state.U[v], u_term = update_u(state, config, v)
-            state.E[v], recon_gap = update_e(state, dataset, config, v)
-            state.w[v], view_terms[v] = update_w(state, dataset, config, v)
-            view_terms[v] += u_term
-            lams, gaps[v] = update_multipliers(state, v, recon_gap)
-            state.Lam1[v], state.Lam2[v], state.Lam3[v] = lams
-        state.Q, eig_sum = update_q(state)
-        worst = np.max(gaps, axis=0)  # r_recon, r_u, r_a: each gap's maximum over the views
-        rows.append((evaluate_objective(state, config, view_terms, eig_sum), *worst, state.mu))
-        if worst.max() < config.tol:
-            converged = True
-            break
-        state.mu = step_mu(state, config)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for _ in range(config.max_iter):
+            for v in range(state.n_views):
+                state.Z[v] = update_z(state, dataset, v)
+                submit_u(state, config, v, pool)
+                state.A[v] = update_a(state, dataset, config, v)
+                state.E[v], recon_gap = update_e(state, dataset, config, v)
+                state.w[v], view_terms[v] = update_w(state, dataset, config, v)
+                state.U[v], u_term = update_u(state, config, v)
+                view_terms[v] += u_term
+                lams, gaps[v] = update_multipliers(state, v, recon_gap)
+                state.Lam1[v], state.Lam2[v], state.Lam3[v] = lams
+            state.Q, eig_sum = update_q(state)
+            worst = np.max(gaps, axis=0)  # r_recon, r_u, r_a: each gap's maximum over the views
+            rows.append((evaluate_objective(state, config, view_terms, eig_sum), *worst, state.mu))
+            if worst.max() < config.tol:
+                converged = True
+                break
+            state.mu = step_mu(state, config)
 
     width = len(fields(ConvergenceTrace))
     trace = ConvergenceTrace(*np.array(rows, dtype=float).reshape(-1, width).T)

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .data import MultiViewDataset
 from .graph_ops import gaussian_affinity, laplacian
+from .prox_ops import eigh_range
 
 KMEANS_RESTARTS = 10
 LLOYD_MAX_ITER = 300
@@ -27,12 +27,12 @@ def _fix_signs(Q: np.ndarray) -> np.ndarray:
 
 def smallest_eigvecs(L: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     """The c smallest eigenvalues, ascending, and their orthonormal eigenvectors,
-    as ``(values, Q)`` in the order ``eigh`` returns them."""
+    as ``(values, Q)`` in the order ``eigh_range`` returns them."""
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"c must be in [1, {n}], got {c}")
-    values, Q = scipy.linalg.eigh(L, subset_by_index=(0, c - 1))
+    values, Q = eigh_range(L, 0, c - 1)
     return values, _fix_signs(Q)
 
 

@@ -3,10 +3,12 @@ check the CLI's outputs against their own copy of the output contract, so a
 rename or a contract change in the package must fail here and not only in a
 benchmark run."""
 
+import functools
 import importlib
 import importlib.util
 import json
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,7 +16,9 @@ import pytest
 
 import mvsc.solver
 from mvsc.cli import main
+from mvsc.data import SynthSpec, generate_synthetic, normalize
 from mvsc.metrics import MetricReport
+from mvsc.solver import SolverConfig
 
 from test_cli import MANIFEST_KEYS
 
@@ -69,3 +73,64 @@ def test_cluster_config_echo_carries_the_stop_rule(tmp_path):
                  "-o", str(out)]) == 0
     config = json.loads(out.read_text())["config"]
     assert (config["max_iter"], config["tol"]) == (2, 1e-4)
+
+
+@pytest.fixture
+def calling_threads(tracer, monkeypatch):
+    """Wraps every binding the tracer wraps to record the thread that calls it."""
+    threads = []
+
+    def recorded(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    kernels = [("scipy.linalg", "eigh"), ("numpy.linalg", "svd"), ("numpy.linalg", "norm")]
+    for module, attr in [(m, a) for m, a, _ in tracer.PROGRAM_BINDINGS] + kernels:
+        owner = importlib.import_module(module)
+        monkeypatch.setattr(owner, attr, recorded(getattr(owner, attr)))
+    return threads
+
+
+def _small_problem():
+    spec = SynthSpec(clusters=3, samples_per_cluster=20, view_dims=(4, 5, 3), seed=4)
+    return normalize(generate_synthetic(spec), "unit_l2_per_sample"), SolverConfig(n_clusters=3,
+                                                                                   max_iter=6)
+
+
+def test_solver_stays_on_the_calling_thread(calling_threads, monkeypatch):
+    # the tracer keeps one span stack, so a traced name called from the U-step's
+    # worker would nest its span under whatever block the caller is in
+    before = set(threading.enumerate())
+    during = []
+    real_update_a = mvsc.solver.update_a
+
+    def watched(*args):
+        during.append(set(threading.enumerate()) - before)
+        return real_update_a(*args)
+
+    monkeypatch.setattr(mvsc.solver, "update_a", watched)
+    dataset, config = _small_problem()
+    assert mvsc.solver.solve(dataset, config).iterations == 6
+    assert len(calling_threads) > 6 * 5 * 3
+    assert set(calling_threads) == {threading.get_ident()}
+    # the worker ran beside the A-steps and is gone once solve returns
+    assert all(len(extra) == 1 for extra in during)
+    assert set(threading.enumerate()) == before
+
+
+def test_worker_is_joined_when_a_block_raises(monkeypatch):
+    before = set(threading.enumerate())
+    during = []
+
+    def failing(*_):
+        during.append(set(threading.enumerate()) - before)
+        raise RuntimeError("update_a failed")
+
+    monkeypatch.setattr(mvsc.solver, "update_a", failing)
+    with pytest.raises(RuntimeError, match="update_a failed"):
+        mvsc.solver.solve(*_small_problem())
+    assert len(during) == 1 and len(during[0]) == 1
+    assert set(threading.enumerate()) == before

@@ -166,9 +166,9 @@ class TestCluster:
                    "--seed", 2, "-o", data) == 0
         hints = []
 
-        def recorded(M, t, k_hint=None):
+        def recorded(M, t, k_hint=None, first=None):
             hints.append(k_hint)
-            return prox_spectral_norm(M, t, k_hint)
+            return prox_spectral_norm(M, t, k_hint, first=first)
 
         monkeypatch.setattr("mvsc.solver.prox_spectral_norm", recorded)
         manifests, traces = [], []
@@ -241,6 +241,46 @@ class TestBaseline:
         assert run("baseline", synth_dir, "--clusters", 46, "-o", tmp_path / "x.json") == 1
         assert "error: --clusters must be <= 45, the number of samples" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+
+class TestOutputDirectories:
+    """Every output path's directory is checked before the data is loaded,
+    so a mistyped path costs no solve."""
+
+    @staticmethod
+    def bad_target(tmp_path, kind):
+        if kind == "missing":
+            return tmp_path / "nodir" / "out.csv"
+        (tmp_path / "plain").write_text("")
+        return tmp_path / "plain" / "out.csv"
+
+    def assert_rejected(self, argv, option, target, kind, monkeypatch, capsys):
+        def not_reached(*_):
+            raise AssertionError("ran before the output paths were checked")
+
+        for name in ("solve", "load_dataset", "ncut_baseline"):
+            monkeypatch.setattr(f"mvsc.cli.{name}", not_reached)
+        assert run(*argv) == 1
+        problem = "does not exist" if kind == "missing" else "is not a directory"
+        assert capsys.readouterr().err == f"error: {option} {target}: {target.parent} {problem}\n"
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    @pytest.mark.parametrize("option", ["-o", "--trace", "--similarity-out", "--laplacian-out"])
+    def test_cluster(self, synth_dir, tmp_path, monkeypatch, capsys, option, kind):
+        target = self.bad_target(tmp_path, kind)
+        targets = {"-o": tmp_path / "run.json", option: target}
+        argv = ["cluster", synth_dir, "--clusters", 3]
+        for flag, path in targets.items():
+            argv += [flag, path]
+        self.assert_rejected(argv, option, target, kind, monkeypatch, capsys)
+        assert not (tmp_path / "run.json").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    @pytest.mark.parametrize("command", ["sweep", "baseline"])
+    def test_sweep_and_baseline(self, synth_dir, tmp_path, monkeypatch, capsys, command, kind):
+        target = self.bad_target(tmp_path, kind)
+        argv = [command, synth_dir, "--clusters", 3, "-o", target]
+        self.assert_rejected(argv, "-o", target, kind, monkeypatch, capsys)
 
 
 class TestSweep:

@@ -1,11 +1,22 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.cython_lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mvsc.prox_ops import (
+    DSYEVR_SIGNATURE,
+    _CYTHON_DOUBLE,
+    SymmetricEigh,
+    _capsule_name,
+    _lapack_function,
     _project_rows_simplex_zero_diag,
+    eigh_range,
+    gram_eigh,
     prox_spectral_norm,
     soft_threshold,
 )
@@ -187,7 +198,6 @@ def full_svd_prox(M, t):
 def kernel_calls(monkeypatch):
     """Counts of the full SVDs and the eigh calls the prox makes."""
     import numpy.linalg
-    import scipy.linalg
 
     calls = {"svd": 0, "eigh": 0}
 
@@ -198,7 +208,7 @@ def kernel_calls(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(numpy.linalg, "svd", counted("svd", numpy.linalg.svd))
-    monkeypatch.setattr(scipy.linalg, "eigh", counted("eigh", scipy.linalg.eigh))
+    monkeypatch.setattr(SymmetricEigh, "__call__", counted("eigh", SymmetricEigh.__call__))
     return calls
 
 
@@ -307,3 +317,76 @@ class TestL1BallProjection:
         for v in ([1.0, 2.0], [0.0, 0.0], [0.0, 3.0, 0.5]):
             out = project_l1_ball(np.array(v), 0.0)
             assert np.array_equal(out, np.zeros(len(v)))
+
+
+def symmetric_inputs(n, rng):
+    """Random symmetric, zero, and rank-deficient Gram matrices of order n."""
+    B = rng.standard_normal((n, n))
+    M = rng.standard_normal((n, max(1, n // 3))) @ rng.standard_normal((max(1, n // 3), n))
+    return {"random": B + B.T, "zero": np.zeros((n, n)), "rank_deficient": M.T @ M}
+
+
+class TestSymmetricEigh:
+    """The one eigensolver: dsyevr through scipy.linalg.cython_lapack, called with
+    the GIL released, which must return scipy.linalg.eigh's bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 90, 300])
+    def test_bits_match_scipy_eigh(self, n, rng):
+        ranges = {"top": (max(0, n - 3), n - 1), "bottom": (0, min(2, n - 1)), "full": (0, n - 1)}
+        for a in symmetric_inputs(n, rng).values():
+            for lo, hi in ranges.values():
+                want = scipy.linalg.eigh(a, subset_by_index=(lo, hi))
+                got = eigh_range(a, lo, hi)
+                assert all(x.tobytes() == y.tobytes() and x.shape == y.shape
+                           for x, y in zip(got, want))
+
+    @pytest.mark.parametrize("n", [1, 2, 90, 300])
+    def test_gram_path_matches_scipy_eigh(self, n, rng):
+        M = rng.standard_normal((n + 5, n))
+        for k in {1, min(3, n), n}:
+            want = scipy.linalg.eigh(M.T @ M, subset_by_index=(n - k, n - 1))
+            got = gram_eigh(M, k=k)()
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+    def test_started_call_matches_inline_call(self, rng):
+        M = rng.standard_normal((150, 120))
+        want = gram_eigh(M, k=4)()
+        eigh = gram_eigh(M, k=4)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            eigh.start(pool)
+            got = eigh()
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+    def test_repeated_calls_are_identical(self, rng):
+        # every argument buffer must outlive the foreign call
+        a = symmetric_inputs(120, rng)["random"]
+        first, second = eigh_range(a, 100, 119), eigh_range(a, 100, 119)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(first, second))
+
+    def test_input_left_intact(self, rng):
+        a = symmetric_inputs(30, rng)["random"]
+        before = a.copy()
+        eigh_range(a, 0, 29)
+        assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad, rng):
+        a = symmetric_inputs(20, rng)["random"]
+        a[3, 5] = a[5, 3] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            eigh_range(a, 0, 2)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gram_eigh(a, k=2)()
+
+    def test_bad_ranges_and_layouts_rejected(self):
+        for lo, hi in ((-1, 2), (3, 2), (0, 5)):
+            with pytest.raises(ValueError, match="lo <= hi"):
+                eigh_range(np.eye(5), lo, hi)
+        with pytest.raises(ValueError, match="F-contiguous"):
+            SymmetricEigh(np.eye(5)[:, :4], 0, 1)
+
+    def test_signature_checked_at_import(self):
+        name = _capsule_name(scipy.linalg.cython_lapack.__pyx_capi__["dsyevr"]).decode()
+        assert name.replace(_CYTHON_DOUBLE, "double") == DSYEVR_SIGNATURE
+        with pytest.raises(ImportError, match="dsyevr has the signature"):
+            _lapack_function("dsyevr", DSYEVR_SIGNATURE.replace("int *)", "long *)"))

@@ -1,15 +1,16 @@
 import copy
+import re
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
 
 import mvsc.solver
 from mvsc.data import MultiViewDataset, SynthSpec, ViewMatrix, generate_synthetic, normalize
 from mvsc.graph_ops import knn_affinity, laplacian
+from mvsc.prox_ops import SymmetricEigh
 from mvsc.solver import (
     ClusteringResult,
     SolverConfig,
@@ -128,6 +129,26 @@ class TestInitialize:
         monkeypatch.setattr("mvsc.solver._memory_budget",
                             lambda: needed if budget == "exact" else None)
         assert initialize(ds, SolverConfig(n_clusters=2, k_init=3)).Q.shape == (10, 2)
+
+    @pytest.mark.parametrize("mode", ["full", "uniform_weights", "no_spectral_norm"])
+    def test_solve_peak_within_the_memory_check(self, mode, monkeypatch):
+        # the figure solve checks against available memory bounds what it then allocates
+        spec = SynthSpec(clusters=3, samples_per_cluster=40, view_dims=(10, 10, 10),
+                         noise_feature_counts=(0, 20, 0), seed=1)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        cfg = SolverConfig(n_clusters=3, max_iter=15, ablation=mode)
+        monkeypatch.setattr("mvsc.solver._memory_budget", lambda: 0)
+        with pytest.raises(ValueError, match=r"^n = 120 samples need \d+ bytes") as exc:
+            solve(ds, cfg)
+        figure = int(re.search(r"need (\d+) bytes", str(exc.value)).group(1))
+        monkeypatch.setattr("mvsc.solver._memory_budget", lambda: None)
+        tracemalloc.start()
+        try:
+            assert solve(ds, cfg).iterations == 15
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= figure
 
 
 class TestUpdateZ:
@@ -327,18 +348,18 @@ class TestUpdateU:
         U_full = (P * (s - shrink)) @ Qt
 
         calls = []
-        real_svd, real_eigh = np.linalg.svd, scipy.linalg.eigh
+        real_svd, real_eigh = np.linalg.svd, SymmetricEigh.__init__
 
         def counted_svd(*args, **kwargs):
             calls.append(("svd", args[0].shape))
             return real_svd(*args, **kwargs)
 
-        def counted_eigh(*args, **kwargs):
-            calls.append(("eigh", args[0].shape, kwargs.get("subset_by_index")))
-            return real_eigh(*args, **kwargs)
+        def counted_eigh(self, a, lo, hi):
+            calls.append(("eigh", a.shape, (lo, hi)))
+            return real_eigh(self, a, lo, hi)
 
         monkeypatch.setattr("numpy.linalg.svd", counted_svd)
-        monkeypatch.setattr("scipy.linalg.eigh", counted_eigh)
+        monkeypatch.setattr(SymmetricEigh, "__init__", counted_eigh)
         U, term = update_u(state, cfg, 0)
         assert calls == [("eigh", (40, 40), (0, 39))]
         assert np.abs(U - U_full).max() <= 1e-12 * np.abs(U_full).max()
