@@ -92,9 +92,6 @@ class SolverState:
     only on the data, never on iterates, and no n x n inverse is stored.
     ``clipped`` maps a view to how many singular values its last U-step
     prox clipped, the next prox's hint; a view has no entry before its first.
-    ``pending`` maps a view to its U-step input M = Z + Lam2/mu and M's first
-    decomposition, started on a worker thread, from ``submit_u`` until update_u
-    takes them.
     """
 
     Z: list[np.ndarray]
@@ -109,8 +106,6 @@ class SolverState:
     mu: float
     z_factor: list[np.ndarray] = field(default_factory=list, repr=False)
     clipped: dict[int, int] = field(default_factory=dict)
-    pending: dict[int, tuple[np.ndarray, SymmetricEigh]] = field(default_factory=dict,
-                                                               repr=False)
 
     @property
     def n_views(self) -> int:
@@ -190,8 +185,8 @@ def _memory_budget() -> int | None:
     return min(budgets) if budgets else None
 
 
-def _dense_bytes(dataset: MultiViewDataset) -> tuple[int, int]:
-    """Bytes of the dense solver state and of what a solve needs beside it.
+def _dense_bytes(dataset: MultiViewDataset) -> int:
+    """Bytes a solve holds at its peak: the dense state, E and Lam1, and scratch.
 
     The state holds, per view, five n x n float64 matrices (Z, A, U, Lam2,
     Lam3) and the n x min(d, n) Z-step factor: 8 n (5 n + min(d, n)) bytes.
@@ -202,36 +197,34 @@ def _dense_bytes(dataset: MultiViewDataset) -> tuple[int, int]:
     n = 120 and 5.6 n^2 at n = 300 for views of d <= 30, and 9 n^2 plus up to
     4.7 n d for views of d = 200 and 600 at n = 60. Its largest part is the
     A-step's, with the U-step's M, M^T M and eigenvectors alive beside it
-    while the worker decomposes M^T M.
+    while the worker decomposes M^T M. A fixed 64 KiB covers the allocations
+    that do not grow with n or d, which dominate at small n: 15 iterations in
+    a fresh interpreter, on views of d = 4 and 5, peaked up to 34, 24 and
+    16 KB above the rest of the figure at n = 30, 45 and 60, and 47 KB at n = 6.
     """
     n = dataset.n_samples
     dims = [view.n_features for view in dataset.views]
     state = 8 * n * sum(5 * n + min(d, n) for d in dims)
-    return state, 8 * n * (2 * sum(dims) + 9 * n + 5 * max(dims))
-
-
-def _check_memory(n: int, needed: int, what: str) -> None:
-    """ValueError when ``needed`` bytes exceed ``_memory_budget()``."""
-    budget = _memory_budget()
-    if budget is not None and needed > budget:
-        raise ValueError(f"n = {n} samples need {needed} bytes of {what}, "
-                         f"more than the {budget} bytes of memory available")
+    return state + 8 * n * (2 * sum(dims) + 9 * n + 5 * max(dims)) + 64 * 1024
 
 
 def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
     """Starting point: kNN graphs for Z = A = U, zero E and multipliers,
     uniform feature weights, and Q from the Laplacian of the summed initial graphs.
 
-    When the dense state (``_dense_bytes``) exceeds ``_memory_budget()``, this
-    raises ValueError before allocating any n x n matrix; ``solve`` checks the
-    state together with what its iterations need beside it.
+    When what a solve holds at its peak (``_dense_bytes``) exceeds
+    ``_memory_budget()``, this raises ValueError before allocating any n x n matrix.
     """
     n = dataset.n_samples
     if not 1 <= config.k_init <= n - 1:
         raise ValueError(f"k_init must be in [1, {n - 1}], got {config.k_init}")
     if config.n_clusters > n:
         raise ValueError(f"n_clusters {config.n_clusters} exceeds sample count {n}")
-    _check_memory(n, _dense_bytes(dataset)[0], "dense solver state")
+    needed, budget = _dense_bytes(dataset), _memory_budget()
+    if budget is not None and needed > budget:
+        raise ValueError(f"n = {n} samples need {needed} bytes of dense solver state and "
+                         f"per-iteration scratch, more than the {budget} bytes of memory "
+                         "available")
 
     Z, A, U, E, Lam1, Lam2, Lam3, w = [], [], [], [], [], [], [], []
     for view in dataset.views:
@@ -296,32 +289,31 @@ def update_q(state: SolverState) -> tuple[np.ndarray, float]:
 
 
 def submit_u(state: SolverState, config: SolverConfig, view: int,
-             pool: ThreadPoolExecutor) -> None:
-    """Start the view's U-step decomposition on ``pool``: form M = Z + Lam2/mu and
-    G = M^T M, and start the LAPACK call of gram_eigh(M, hint), with the view's
-    last clipped count as the hint, keeping M and the call in ``state.pending``
-    for update_u. At weight 0 there is no prox, so nothing starts. The pool's
-    thread runs the LAPACK call only, on buffers allocated here."""
-    if config.effective_lambda2 / state.mu == 0:
-        return
+             pool: ThreadPoolExecutor | None = None) -> tuple[np.ndarray, SymmetricEigh | None]:
+    """The U-step's input M = Z + Lam2/mu and its first decomposition,
+    gram_eigh(M, hint) with the view's last clipped count as the hint, whose
+    LAPACK call, and nothing else, starts on ``pool`` when one is given. At
+    weight lambda2/mu = 0 there is no prox, and the decomposition is None."""
     M = state.Z[view] + state.Lam2[view] / state.mu
-    eigh = gram_eigh(M, state.clipped.get(view))
-    eigh.start(pool)
-    state.pending[view] = M, eigh
+    if config.effective_lambda2 / state.mu == 0:
+        return M, None
+    first = gram_eigh(M, state.clipped.get(view))
+    if pool is not None:
+        first.start(pool)
+    return M, first
 
 
-def update_u(state: SolverState, config: SolverConfig, view: int) -> tuple[np.ndarray, float]:
+def update_u(state: SolverState, config: SolverConfig, view: int,
+             started: tuple[np.ndarray, SymmetricEigh | None] | None = None,
+             ) -> tuple[np.ndarray, float]:
     """Spectral-norm proximal step on M = Z + Lam2/mu at weight lambda2/mu: U and the
     objective's U term lambda2 * ||U||_2. At weight 0 it is the identity, with no prox.
-    The view's last clipped count is the prox's top-k hint, and the new count replaces it.
-    M and its first decomposition come from ``state.pending`` when submit_u started them."""
-    M, first = state.pending.pop(view, (None, None))
-    if M is None:
-        M = state.Z[view] + state.Lam2[view] / state.mu
-    t = config.effective_lambda2 / state.mu
-    if t == 0:
+    ``started`` is submit_u's (M, first decomposition), which this calls itself
+    when none is given; the prox's clipped count becomes the view's next hint."""
+    M, first = submit_u(state, config, view) if started is None else started
+    if first is None:
         return M, 0.0
-    U, norm, state.clipped[view] = prox_spectral_norm(M, t, state.clipped.get(view),
+    U, norm, state.clipped[view] = prox_spectral_norm(M, config.effective_lambda2 / state.mu,
                                                       first=first)
     return U, config.effective_lambda2 * norm
 
@@ -410,17 +402,14 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
     multipliers; then the shared Q is refreshed and the penalty grows. The
     U-step reads only Z and Lam2, which the A-, E- and w-steps neither read
     nor write, so each view runs Z, A, E, w, U, multipliers, with the same
-    bits as Z, A, U, E, w: after the Z-step, submit_u hands the U-step's
-    LAPACK call to one worker thread, which runs it beside the A-, E- and
-    w-steps, and update_u waits for it. The worker lives for the call.
+    bits as Z, A, U, E, w: after the Z-step, submit_u starts the U-step's
+    LAPACK call on one worker thread, which runs it beside the A-, E- and
+    w-steps, and returns M with the call, which update_u takes and waits
+    for. The worker lives for the call.
     Stops when all constraint gaps fall below ``config.tol`` or the
     iteration budget runs out. Deterministic for a fixed config and data.
     The fused similarity's Laplacian is (1/V) sum_v L(A_v): its bottom eigenvectors span Q.
-    Before initializing, it checks the dense state plus what the iterations
-    need beside it (``_dense_bytes``) against available memory.
     """
-    _check_memory(dataset.n_samples, sum(_dense_bytes(dataset)),
-                  "dense solver state and per-iteration scratch")
     state = initialize(dataset, config)
     rows: list[tuple[float, ...]] = []
     converged = False
@@ -430,11 +419,12 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
         for _ in range(config.max_iter):
             for v in range(state.n_views):
                 state.Z[v] = update_z(state, dataset, v)
-                submit_u(state, config, v, pool)
+                started = submit_u(state, config, v, pool)
                 state.A[v] = update_a(state, dataset, config, v)
                 state.E[v], recon_gap = update_e(state, dataset, config, v)
                 state.w[v], view_terms[v] = update_w(state, dataset, config, v)
-                state.U[v], u_term = update_u(state, config, v)
+                state.U[v], u_term = update_u(state, config, v, started)
+                del started  # frees M and M^T M before the multiplier step allocates
                 view_terms[v] += u_term
                 lams, gaps[v] = update_multipliers(state, v, recon_gap)
                 state.Lam1[v], state.Lam2[v], state.Lam3[v] = lams

@@ -18,6 +18,7 @@ import mvsc.solver
 from mvsc.cli import main
 from mvsc.data import SynthSpec, generate_synthetic, normalize
 from mvsc.metrics import MetricReport
+from mvsc.prox_ops import SymmetricEigh
 from mvsc.solver import SolverConfig
 
 from test_cli import MANIFEST_KEYS
@@ -77,21 +78,24 @@ def test_cluster_config_echo_carries_the_stop_rule(tmp_path):
 
 @pytest.fixture
 def calling_threads(tracer, monkeypatch):
-    """Wraps every binding the tracer wraps to record the thread that calls it."""
-    threads = []
+    """Wraps every binding the tracer wraps, the numpy kernels it times and the
+    eigensolver's entry point to record the name and the thread of each call."""
+    calls = []
 
-    def recorded(fn):
+    def recorded(name, fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            threads.append(threading.get_ident())
+            calls.append((name, threading.get_ident()))
             return fn(*args, **kwargs)
         return wrapper
 
-    kernels = [("scipy.linalg", "eigh"), ("numpy.linalg", "svd"), ("numpy.linalg", "norm")]
+    kernels = [("numpy.linalg", "svd"), ("numpy.linalg", "norm")]
     for module, attr in [(m, a) for m, a, _ in tracer.PROGRAM_BINDINGS] + kernels:
         owner = importlib.import_module(module)
-        monkeypatch.setattr(owner, attr, recorded(getattr(owner, attr)))
-    return threads
+        monkeypatch.setattr(owner, attr, recorded(f"{module}.{attr}", getattr(owner, attr)))
+    monkeypatch.setattr(SymmetricEigh, "__call__",
+                        recorded("SymmetricEigh", SymmetricEigh.__call__))
+    return calls
 
 
 def _small_problem():
@@ -115,7 +119,11 @@ def test_solver_stays_on_the_calling_thread(calling_threads, monkeypatch):
     dataset, config = _small_problem()
     assert mvsc.solver.solve(dataset, config).iterations == 6
     assert len(calling_threads) > 6 * 5 * 3
-    assert set(calling_threads) == {threading.get_ident()}
+    assert {thread for _, thread in calling_threads} == {threading.get_ident()}
+    # the eigensolver answers every U-step and every Q-step on the calling thread
+    names = [name for name, _ in calling_threads]
+    assert names.count("mvsc.solver.update_u") == 6 * 3
+    assert names.count("SymmetricEigh") >= 6 * 3 + names.count("mvsc.solver.smallest_eigvecs")
     # the worker ran beside the A-steps and is gone once solve returns
     assert all(len(extra) == 1 for extra in during)
     assert set(threading.enumerate()) == before

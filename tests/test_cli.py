@@ -7,7 +7,7 @@ import pytest
 
 from mvsc.cli import main
 from mvsc.metrics import compute_metrics
-from mvsc.prox_ops import prox_spectral_norm
+from mvsc.prox_ops import gram_eigh
 from mvsc.solver import SolverConfig
 
 MANIFEST_KEYS = {"config", "dataset", "labels", "weights", "metrics",
@@ -166,11 +166,11 @@ class TestCluster:
                    "--seed", 2, "-o", data) == 0
         hints = []
 
-        def recorded(M, t, k_hint=None, first=None):
+        def recorded(M, k_hint=None, k=None):
             hints.append(k_hint)
-            return prox_spectral_norm(M, t, k_hint, first=first)
+            return gram_eigh(M, k_hint, k)
 
-        monkeypatch.setattr("mvsc.solver.prox_spectral_norm", recorded)
+        monkeypatch.setattr("mvsc.solver.gram_eigh", recorded)
         manifests, traces = [], []
         for tag in ("a", "b"):
             out = tmp_path / f"{tag}.json"
@@ -419,6 +419,14 @@ class TestOverrides:
         cfg.write_text("bogus = 3\n")
         assert run("cluster", synth_dir, "--clusters", 3, "--config", cfg,
                    "-o", tmp_path / "x.json") != 0
+
+    def test_config_line_without_equals_fails(self, synth_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("mvsc.cli.solve", _no_solve)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("max_iter 5\n")
+        assert run("cluster", synth_dir, "--clusters", 3, "--config", cfg,
+                   "-o", tmp_path / "x.json") == 1
+        assert f"error: {cfg}:1: expected key = value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["env", "config"])
     def test_bad_ablation_is_reported(self, synth_dir, tmp_path, monkeypatch, capsys, source):

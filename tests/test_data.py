@@ -59,6 +59,10 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match=r"view_1\.csv:2.*'oops'"):
             load_dataset(tmp_path)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        (tmp_path / "view_1.csv").write_text("\n1,2\n\n  \n3,4\n\n")
+        assert load_dataset(tmp_path).views[0].values.tolist() == [[1, 3], [2, 4]]
+
     def test_empty_file(self, tmp_path):
         (tmp_path / "view_1.csv").write_text("")
         with pytest.raises(DatasetFormatError, match="empty"):
@@ -167,6 +171,17 @@ class TestGenerateSynthetic:
             SynthSpec(clusters=2, samples_per_cluster=5, view_dims=(3, 3),
                       noise_feature_counts=(1,))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"within_cluster_std": 0.0},
+        {"within_cluster_std": -1.0},
+        {"view_dims": (3, 0)},
+        {"view_dims": (3, 3), "noise_feature_counts": (0, -1)},
+    ])
+    def test_invalid_spec_fields_rejected(self, kwargs):
+        spec = {"clusters": 2, "samples_per_cluster": 5, "view_dims": (3,), **kwargs}
+        with pytest.raises(ValueError):
+            SynthSpec(**spec)
+
 
 class TestTypeInvariants:
     def test_view_matrix_rejects_nonfinite(self):
@@ -187,3 +202,12 @@ class TestTypeInvariants:
         v1 = ViewMatrix(rng.standard_normal((2, 4)), 0)
         with pytest.raises(ValueError):
             MultiViewDataset(views=(v1,), labels=np.array([0, 1]))
+
+    @pytest.mark.parametrize("values", [np.ones(4), np.ones((2, 3, 4))])
+    def test_view_matrix_rejects_non_matrix(self, values):
+        with pytest.raises(ValueError, match="expected a 2-d matrix"):
+            ViewMatrix(values=values, view_index=0)
+
+    def test_dataset_rejects_no_views(self):
+        with pytest.raises(ValueError, match="at least one view"):
+            MultiViewDataset(views=())

@@ -1,4 +1,6 @@
+import ast
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import scipy.linalg.cython_lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+import mvsc
 
 from mvsc.prox_ops import (
     DSYEVR_SIGNATURE,
@@ -390,3 +394,37 @@ class TestSymmetricEigh:
         assert name.replace(_CYTHON_DOUBLE, "double") == DSYEVR_SIGNATURE
         with pytest.raises(ImportError, match="dsyevr has the signature"):
             _lapack_function("dsyevr", DSYEVR_SIGNATURE.replace("int *)", "long *)"))
+
+
+def _callers() -> dict[str, set[str]]:
+    """The last name of every callee in src/mvsc (``eigh`` for
+    ``scipy.linalg.eigh(...)``) mapped to the ``module.function`` names that call it."""
+    found: dict[str, set[str]] = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                found.setdefault(name, set()).add(scope)
+            visit(child, scope)
+
+    for path in Path(mvsc.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+class TestSingleOwner:
+    def test_only_solve_starts_a_worker(self):
+        assert _callers()["ThreadPoolExecutor"] == {"solver.solve"}
+
+    def test_only_symmetric_eigh_calls_lapack(self):
+        callers = _callers()["_dsyevr"]
+        assert callers and not {s for s in callers if not s.startswith("prox_ops.SymmetricEigh.")}
+
+    def test_no_other_eigensolver(self):
+        callers = _callers()
+        assert [name for name in ("eigh", "eigvalsh") if name in callers] == []

@@ -110,7 +110,9 @@ class TestInitialize:
     def test_dense_state_over_budget_fails_before_allocating(self, rng, monkeypatch):
         n = 10
         ds = make_random_dataset(n, (3, 14), rng)
-        needed = 8 * n * ((5 * n + 3) + (5 * n + 10))
+        # state, E and Lam1, scratch of the widest view, fixed scratch
+        needed = (8 * n * ((5 * n + 3) + (5 * n + 10)) + 8 * n * (2 * (3 + 14) + 9 * n + 5 * 14)
+                  + 64 * 1024)
 
         def no_graph(*_):
             raise AssertionError("an n x n matrix was built before the memory check")
@@ -125,20 +127,34 @@ class TestInitialize:
     @pytest.mark.parametrize("budget", ["exact", None])
     def test_dense_state_within_budget_or_unknown_runs(self, budget, rng, monkeypatch):
         ds = make_random_dataset(10, (3, 14), rng)
-        needed = 8 * 10 * ((5 * 10 + 3) + (5 * 10 + 10))
+        needed = (8 * 10 * ((5 * 10 + 3) + (5 * 10 + 10))
+                  + 8 * 10 * (2 * (3 + 14) + 9 * 10 + 5 * 14) + 64 * 1024)
         monkeypatch.setattr("mvsc.solver._memory_budget",
                             lambda: needed if budget == "exact" else None)
         assert initialize(ds, SolverConfig(n_clusters=2, k_init=3)).Q.shape == (10, 2)
 
-    @pytest.mark.parametrize("mode", ["full", "uniform_weights", "no_spectral_norm"])
-    def test_solve_peak_within_the_memory_check(self, mode, monkeypatch):
+    def test_solve_reads_the_budget_once(self, rng, monkeypatch):
+        reads = []
+        monkeypatch.setattr("mvsc.solver._memory_budget", lambda: reads.append(None))
+        ds = make_random_dataset(10, (3, 4), rng)
+        assert solve(ds, SolverConfig(n_clusters=2, k_init=3, max_iter=2)).iterations == 2
+        assert len(reads) == 1
+
+    @pytest.mark.parametrize("mode, spec", [
+        pytest.param(mode, spec, id=mode + suffix)
+        for suffix, spec in (
+            ("", SynthSpec(clusters=3, samples_per_cluster=40, view_dims=(10, 10, 10),
+                           noise_feature_counts=(0, 20, 0), seed=1)),
+            # n = 30: fixed costs outweigh the n^2 terms
+            ("-n30", SynthSpec(clusters=3, samples_per_cluster=10, view_dims=(4, 5), seed=1)))
+        for mode in ("full", "uniform_weights", "no_spectral_norm")])
+    def test_solve_peak_within_the_memory_check(self, mode, spec, monkeypatch):
         # the figure solve checks against available memory bounds what it then allocates
-        spec = SynthSpec(clusters=3, samples_per_cluster=40, view_dims=(10, 10, 10),
-                         noise_feature_counts=(0, 20, 0), seed=1)
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
         cfg = SolverConfig(n_clusters=3, max_iter=15, ablation=mode)
         monkeypatch.setattr("mvsc.solver._memory_budget", lambda: 0)
-        with pytest.raises(ValueError, match=r"^n = 120 samples need \d+ bytes") as exc:
+        need = rf"^n = {ds.n_samples} samples need \d+ bytes"
+        with pytest.raises(ValueError, match=need) as exc:
             solve(ds, cfg)
         figure = int(re.search(r"need (\d+) bytes", str(exc.value)).group(1))
         monkeypatch.setattr("mvsc.solver._memory_budget", lambda: None)
@@ -373,12 +389,12 @@ class TestUpdateU:
         n = ds.n_samples
         hinted = []
 
-        def checked(state, config, view):
+        def checked(state, config, view, started=None):
             M = state.Z[view] + state.Lam2[view] / state.mu
             P, s, Qt = np.linalg.svd(M, full_matrices=False)
             shrink = project_l1_ball(s, config.effective_lambda2 / state.mu)
             hint = state.clipped.get(view)
-            U, term = update_u(state, config, view)
+            U, term = update_u(state, config, view, started)
             assert state.clipped[view] == np.count_nonzero(shrink)
             U_full = (P * (s - shrink)) @ Qt
             assert np.linalg.norm(U - U_full) <= 1e-9 * np.linalg.norm(U_full)

@@ -93,6 +93,11 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(rng.standard_normal((3, 2)), 4, seed=0)
 
+    def test_identical_points_fill_every_cluster(self):
+        # every k-means++ distance is 0, so the later centers are drawn uniformly
+        labels = kmeans(np.zeros((6, 2)), 3, seed=0)
+        assert sorted(set(labels.tolist())) == [0, 1, 2]
+
 
 def two_group_dataset(rng, n_per=10, gap=25.0):
     base = rng.standard_normal((4, 2 * n_per)) * 0.2
