@@ -8,10 +8,12 @@ eigendecomposition of M^T M: its top k eigenpairs, with the full spectrum
 as k = n. Elementwise soft-thresholding is the prox of the l1 norm.
 
 Every symmetric eigenproblem in the package goes through ``SymmetricEigh``:
-LAPACK's dsyevr (MRRR; Dhillon, Parlett & Voemel 2006), reached through the
-function pointer that ``scipy.linalg.cython_lapack`` exports and called with
-ctypes, which releases the GIL for the call. So a decomposition can run on a
-second thread while the first keeps computing.
+LAPACK's dsyevr (MRRR; Dhillon, Parlett & Voemel 2006) from the OpenBLAS that
+numpy's wheels bundle, which exports it as ``scipy_dsyevr_64_`` (the Fortran
+interface with 64-bit integers). It is found through numpy's own linalg
+extension, which links that library, and called with ctypes, which releases
+the GIL for the call. So a decomposition can run on a second thread while the
+first keeps computing, and the package needs no LAPACK beyond numpy's.
 """
 
 from __future__ import annotations
@@ -19,36 +21,30 @@ from __future__ import annotations
 import ctypes
 
 import numpy as np
-import scipy.linalg.cython_lapack
+from numpy.linalg import _umath_linalg
 
-# the C signature of scipy.linalg.cython_lapack.dsyevr, with Cython's name for
-# double spelled out; checked at import, so a changed ABI fails loudly
-DSYEVR_SIGNATURE = ("void (char *, char *, char *, int *, double *, int *, double *, double *, "
-                    "int *, int *, double *, int *, double *, double *, int *, int *, double *, "
-                    "int *, int *, int *, int *)")
-_CYTHON_DOUBLE = "__pyx_t_5scipy_6linalg_13cython_lapack_d"
-
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
+DSYEVR = "scipy_dsyevr_64_"
 
 
-def _lapack_function(name: str, signature: str):
-    """The routine ``name`` of scipy.linalg.cython_lapack as a ctypes function
-    taking its character arguments as bytes and every other one as an address;
-    ImportError unless its C signature is ``signature``."""
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
-    raw = _capsule_name(capsule)
-    if raw.decode().replace(_CYTHON_DOUBLE, "double") != signature:
-        raise ImportError(f"scipy.linalg.cython_lapack.{name} has the signature "
-                          f"{raw.decode()!r}, not {signature!r}")
-    argtypes = [ctypes.c_char_p if arg == "char *" else ctypes.c_void_p
-                for arg in signature[len("void ("):-1].split(", ")]
-    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, raw))
+def _bundled_dsyevr():
+    """dsyevr of numpy's bundled OpenBLAS as a ctypes function: its three
+    character arguments as bytes, the other 18 by address, then the three
+    lengths of the character arguments that Fortran passes hidden at the end.
+    ImportError when numpy's linalg extension does not reach the symbol, as
+    with numpy builds that link another LAPACK."""
+    library = _umath_linalg.__file__
+    try:
+        dsyevr = getattr(ctypes.CDLL(library), DSYEVR)
+    except AttributeError:
+        raise ImportError(f"{library} does not export {DSYEVR}: mvsc calls the dsyevr of the "
+                          "OpenBLAS bundled with numpy; a numpy wheel from PyPI provides it"
+                          ) from None
+    dsyevr.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 3
+    dsyevr.restype = None
+    return dsyevr
 
 
-_dsyevr = _lapack_function("dsyevr", DSYEVR_SIGNATURE)
+_dsyevr = _bundled_dsyevr()
 
 
 class SymmetricEigh:
@@ -79,16 +75,16 @@ class SymmetricEigh:
             raise ValueError("array must not contain infs or NaNs")
         k = hi - lo + 1
         self.a = a
-        # n, lda, il, iu, m (out), ldz, lwork, liwork, info (out)
-        self.ints = np.array([n, n, lo + 1, hi + 1, 0, n, -1, -1, 0], dtype=np.intc)
+        # the ILP64 integers n, lda, il, iu, m (out), ldz, lwork, liwork, info (out)
+        self.ints = np.array([n, n, lo + 1, hi + 1, 0, n, -1, -1, 0], dtype=np.int64)
         self.reals = np.zeros(3)  # vl, vu (unused with range "I") and abstol = 0
         self.w = np.empty(n)
         self.z = np.empty((n, k), order="F")
-        self.isuppz = np.empty(2 * k, dtype=np.intc)
-        self.work, self.iwork = np.empty(1), np.empty(1, dtype=np.intc)
+        self.isuppz = np.empty(2 * k, dtype=np.int64)
+        self.work, self.iwork = np.empty(1), np.empty(1, dtype=np.int64)
         _dsyevr(*self._pointers())  # workspace query: the sizes land in work[0] and iwork[0]
         self.ints[6:8] = int(self.work[0]), self.iwork[0]
-        self.work, self.iwork = np.empty(self.ints[6]), np.empty(self.ints[7], dtype=np.intc)
+        self.work, self.iwork = np.empty(self.ints[6]), np.empty(self.ints[7], dtype=np.int64)
         self._args = self._pointers()  # valid while self holds the arrays
         self._future = None
 
@@ -99,7 +95,7 @@ class SymmetricEigh:
                 ints + 2 * i, ints + 3 * i, reals + 2 * d, ints + 4 * i, self.w.ctypes.data,
                 self.z.ctypes.data, ints + 5 * i, self.isuppz.ctypes.data,
                 self.work.ctypes.data, ints + 6 * i, self.iwork.ctypes.data, ints + 7 * i,
-                ints + 8 * i)
+                ints + 8 * i, 1, 1, 1)
 
     def _lapack(self) -> None:
         _dsyevr(*self._args)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mvsc
 from mvsc.data import MultiViewDataset, ViewMatrix
 from mvsc.solver import SolverConfig, SolverState, z_step_factors
 
@@ -10,6 +16,20 @@ from oracles import random_orthonormal, random_row_stochastic_zero_diag
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture
+def fresh_python():
+    """Run ``python -c code *args`` in a fresh interpreter that imports this mvsc."""
+    src = str(Path(mvsc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(code: str, *args) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                              capture_output=True, text=True)
+
+    return run
 
 
 def make_random_state(dataset: MultiViewDataset, config: SolverConfig,

@@ -55,6 +55,32 @@ def read_json(path):
         return json.load(fh)
 
 
+# a fresh interpreter in which any import of scipy fails, running the CLI on its arguments
+WITHOUT_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+from mvsc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_cluster_runs_without_scipy(synth_dir, tmp_path, fresh_python):
+    # scipy is a test-only dependency: a whole cluster run must not import it
+    out = tmp_path / "run.json"
+    done = fresh_python(WITHOUT_SCIPY, "cluster", synth_dir, "--clusters", 3,
+                        "--normalize", "unit_l2_per_sample", "-o", out)
+    assert done.returncode == 0, done.stderr
+    manifest = read_json(out)
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["metrics"]["acc"] >= 95.0
+
+
 class TestSynth:
     def test_writes_expected_files(self, synth_dir):
         names = sorted(p.name for p in synth_dir.iterdir())
