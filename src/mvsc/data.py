@@ -78,7 +78,10 @@ class MultiViewDataset:
                 )
         labels = self.labels
         if labels is not None:
-            labels = np.asarray(labels, dtype=int).ravel()
+            labels = np.asarray(labels).ravel()
+            if labels.dtype.kind not in "bi":  # the CSV reader's rule, not truncation
+                labels = np.array([_label(str(value)) for value in labels.tolist()])
+            labels = labels.astype(int, copy=False)
             if labels.size != n:
                 raise ValueError(f"labels length {labels.size} does not match n={n}")
         object.__setattr__(self, "views", views)

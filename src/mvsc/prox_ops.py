@@ -3,9 +3,10 @@
 One sort-and-threshold rule (Duchi et al. 2008, projections onto the l1
 ball) serves the row-batched simplex projection that pins each row's own
 coordinate (the self-affinity) to zero, and the spectral-norm prox, which
-thresholds singular values (Cai, Candes & Shen 2010) taken from one
-eigendecomposition of M^T M: its top k eigenpairs, with the full spectrum
-as k = n. Elementwise soft-thresholding is the prox of the l1 norm.
+thresholds singular values (Cai, Candes & Shen 2010) taken from the top k
+eigenpairs of M^T M, with the full spectrum as k = n and as the one fallback
+when the top k fall short. Elementwise soft-thresholding is the prox of the
+l1 norm.
 
 Every symmetric eigenproblem in the package goes through ``SymmetricEigh``:
 LAPACK's dsyevr (MRRR; Dhillon, Parlett & Voemel 2006) from the OpenBLAS that
@@ -119,13 +120,6 @@ class SymmetricEigh:
         return self.w[:m], self.z[:, :m]
 
 
-def eigh_range(a: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues lo..hi (0-based, ascending) of the symmetric ``a`` and their
-    eigenvectors, from a's lower triangle, which is not modified: the same bits
-    as scipy.linalg.eigh(a, subset_by_index=(lo, hi))."""
-    return SymmetricEigh(np.array(a, dtype=float, order="F"), lo, hi)()
-
-
 def _sort_threshold(u: np.ndarray, total: float) -> np.ndarray:
     """Per row of the descending-sorted 2-D ``u``, the theta with
     sum(max(u - theta, 0)) = total; requires total > 0."""
@@ -177,23 +171,21 @@ def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
 
 
-def gram_eigh(M: np.ndarray, k_hint: int | None = None, k: int | None = None) -> SymmetricEigh:
-    """The prox's decomposition of M, ready to run: G = M^T M, formed here in
-    an F-ordered buffer, with the dsyevr call for its top k eigenpairs.
-
-    k is ``k`` when given, else the prox's first choice for the hint
-    ``k_hint`` (see prox_spectral_norm). The solver starts the call on a
-    worker thread while the view's A-, E- and w-steps run.
+def gram_eigh(M: np.ndarray, k_hint: int | None = None) -> SymmetricEigh:
+    """The prox's decomposition of M, ready to run: G = M^T M, formed here
+    in an F-ordered buffer, with the dsyevr call for its top k eigenpairs, where
+    k = k_hint + 2, or k = n (M's column count) with no hint or once k passes
+    n/4, where a partial decomposition stops paying. The solver starts the call
+    on a worker thread while the view's A-, E- and w-steps run.
     """
     n = M.shape[1]
-    if k is None:
-        k = n if k_hint is None or 4 * (k_hint + 2) > n else k_hint + 2
+    k = n if k_hint is None or 4 * (k_hint + 2) > n else k_hint + 2
     G = np.empty((n, n), order="F")
     np.matmul(M.T, M, out=G)
     return SymmetricEigh(G, n - k, n - 1)
 
 
-def prox_spectral_norm(M: np.ndarray, t: float, k_hint: int | None = None,
+def prox_spectral_norm(M: np.ndarray, t: float,
                        first: SymmetricEigh | None = None) -> tuple[np.ndarray, float, int]:
     """Proximal map U of t*||.||_2 (largest singular value) at M, ||U||_2, and
     how many singular values it clipped.
@@ -205,14 +197,12 @@ def prox_spectral_norm(M: np.ndarray, t: float, k_hint: int | None = None,
     ||U||_2 = theta when any is clipped. At weight 0 the prox is the
     identity, which callers handle without the prox.
 
-    s and Q come from the k largest eigenpairs of G = M^T M: k = k_hint + 2
-    (``k_hint`` is typically the previous call's clipped count), or k = n
-    (M's column count) with no hint or once k passes n/4, where a partial
-    decomposition stops paying. ``first``, when given, is
-    ``gram_eigh(M, k_hint)``, possibly started on a worker thread, and stands
-    in for the first decomposition. theta from the top k is exact once the k-th
-    value is <= theta, since the rest then lie below theta too; otherwise k
-    doubles, or becomes n when the k values sum to at most t. Then
+    s and Q come from the k largest eigenpairs of G = M^T M, taken by
+    ``first``, a ``gram_eigh(M, hint)`` possibly started on a worker thread
+    (the hint is typically the previous call's clipped count); without it,
+    from the full spectrum. theta from the top k is exact once the k-th value
+    is <= theta, since the rest then lie below theta too; otherwise the full
+    spectrum is taken, so a prox makes at most two decompositions. Then
     U = M - (M Q_a) diag(1 - theta/s_a) Q_a^T over the clipped set a. Values
     taken as sqrt of G's eigenvalues are exact only to the rounding bound
     sqrt(n * eps) * s_1, so when theta is at or below it everything clips:
@@ -223,15 +213,14 @@ def prox_spectral_norm(M: np.ndarray, t: float, k_hint: int | None = None,
         raise ValueError("t must be positive")
     M = np.asarray(M, dtype=float)
     n = M.shape[1]
-    lam, V = (gram_eigh(M, k_hint) if first is None else first)()
-    k = V.shape[1]
+    decomposition = gram_eigh(M) if first is None else first
     while True:
+        lam, V = decomposition()
         s = np.sqrt(np.maximum(lam[::-1], 0.0))
         theta = _sort_threshold(s[None, :], t)[0]  # <= 0 iff the k values sum to <= t
-        if k == n or s[-1] <= theta:
+        if s.size == n or s[-1] <= theta:
             break
-        k = 2 * k if theta > 0 and 8 * k <= n else n
-        lam, V = gram_eigh(M, k=k)()
+        decomposition = gram_eigh(M)
     bound = np.sqrt(n * np.finfo(float).eps) * s[0]
     if theta <= bound:
         return np.zeros_like(M), 0.0, int(np.count_nonzero(s > bound))

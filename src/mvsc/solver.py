@@ -54,8 +54,11 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if f.type == "float" and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
+            if f.type == "int" and not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.n_clusters < 2:
             raise ValueError("n_clusters must be >= 2")
         if min(self.lambda1, self.lambda2, self.lambda3) < 0:

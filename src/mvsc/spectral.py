@@ -6,7 +6,7 @@ import numpy as np
 
 from .data import MultiViewDataset
 from .graph_ops import gaussian_affinity, laplacian
-from .prox_ops import eigh_range
+from .prox_ops import SymmetricEigh
 
 KMEANS_RESTARTS = 10
 LLOYD_MAX_ITER = 300
@@ -27,12 +27,13 @@ def _fix_signs(Q: np.ndarray) -> np.ndarray:
 
 def smallest_eigvecs(L: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     """The c smallest eigenvalues, ascending, and their orthonormal eigenvectors,
-    as ``(values, Q)`` in the order ``eigh_range`` returns them."""
-    L = np.asarray(L, dtype=float)
+    as ``(values, Q)``: one dsyevr call on an F-ordered copy of L's lower
+    triangle, so the caller's L is left intact."""
+    L = np.array(L, dtype=float, order="F")
     n = L.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"c must be in [1, {n}], got {c}")
-    values, Q = eigh_range(L, 0, c - 1)
+    values, Q = SymmetricEigh(L, 0, c - 1)()
     return values, _fix_signs(Q)
 
 

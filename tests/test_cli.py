@@ -192,9 +192,9 @@ class TestCluster:
                    "--seed", 2, "-o", data) == 0
         hints = []
 
-        def recorded(M, k_hint=None, k=None):
+        def recorded(M, k_hint=None):
             hints.append(k_hint)
-            return gram_eigh(M, k_hint, k)
+            return gram_eigh(M, k_hint)
 
         monkeypatch.setattr("mvsc.solver.gram_eigh", recorded)
         manifests, traces = [], []

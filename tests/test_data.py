@@ -203,6 +203,19 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             MultiViewDataset(views=(v1,), labels=np.array([0, 1]))
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 2.9, -0.4], [0, 1, 2, np.nan],
+                                        [0.0, 1.0, 2.0, 1e19]])
+    def test_dataset_rejects_non_integral_labels(self, labels, rng):
+        # truncating [0.5, 1.7, 2.9, -0.4] to [0, 1, 2, 0] would merge two clusters
+        view = ViewMatrix(rng.standard_normal((2, 4)), 0)
+        with pytest.raises(ValueError, match="is not an integer|is outside int64"):
+            MultiViewDataset(views=(view,), labels=labels)
+
+    def test_dataset_takes_integral_float_labels_exactly(self, rng):
+        view = ViewMatrix(rng.standard_normal((2, 4)), 0)
+        labels = MultiViewDataset(views=(view,), labels=[0.0, 7.0, 1e3, -2.0]).labels
+        assert labels.dtype == np.int64 and labels.tolist() == [0, 7, 1000, -2]
+
     @pytest.mark.parametrize("values", [np.ones(4), np.ones((2, 3, 4))])
     def test_view_matrix_rejects_non_matrix(self, values):
         with pytest.raises(ValueError, match="expected a 2-d matrix"):

@@ -17,7 +17,6 @@ from mvsc.prox_ops import (
     SymmetricEigh,
     _bundled_dsyevr,
     _project_rows_simplex_zero_diag,
-    eigh_range,
     gram_eigh,
     prox_spectral_norm,
     soft_threshold,
@@ -214,8 +213,13 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def hinted_prox(M, t, hint):
+    """The prox as the solver calls it, with ``gram_eigh(M, hint)`` as its first decomposition."""
+    return prox_spectral_norm(M, t, first=gram_eigh(M, hint))
+
+
 class TestSpectralNormProxTopK:
-    """The hinted path, on matrices large enough for it to run (k_hint + 2 <= n/4)."""
+    """The hinted path, on matrices large enough for it to run (hint + 2 <= n/4)."""
 
     def assert_matches(self, got, want):
         (U, norm, clipped), (U_ref, norm_ref, clipped_ref) = got, want
@@ -231,10 +235,10 @@ class TestSpectralNormProxTopK:
             want = full_svd_prox(M, t)
             assert 1 <= want[2] <= 3
             kernel_calls["svd"] = 0
-            self.assert_matches(prox_spectral_norm(M, t, k_hint=want[2]), want)
+            self.assert_matches(hinted_prox(M, t, want[2]), want)
             assert kernel_calls["svd"] == 0
 
-    def test_too_small_hint_doubles_k(self, rng, kernel_calls):
+    def test_too_small_hint_falls_back_to_full_spectrum(self, rng, kernel_calls):
         s = np.concatenate([[40.0, 30.0, 10.4, 10.3, 10.2, 10.1], rng.uniform(0, 1, 114)])
         P, _ = np.linalg.qr(rng.standard_normal((120, 120)))
         Q, _ = np.linalg.qr(rng.standard_normal((120, 120)))
@@ -243,16 +247,16 @@ class TestSpectralNormProxTopK:
         want = full_svd_prox(M, t)
         assert want[1] == pytest.approx(9.0, rel=1e-12) and want[2] == 6
         kernel_calls["svd"] = 0
-        # the top 2 and the top 4 sum above t but reach no value at or below
-        # their theta; the top 8 do
-        self.assert_matches(prox_spectral_norm(M, t, k_hint=0), want)
-        assert kernel_calls == {"svd": 0, "eigh": 3}
+        # the top 2 sum above t but reach no value at or below their theta,
+        # so the second and last decomposition is the full spectrum
+        self.assert_matches(hinted_prox(M, t, 0), want)
+        assert kernel_calls == {"svd": 0, "eigh": 2}
 
     def test_hint_past_quarter_takes_full_spectrum(self, rng, kernel_calls):
         M = low_rank_plus_noise(rng, (120, 120))
         t = float(np.linalg.svd(M, compute_uv=False)[0])
         kernel_calls["svd"] = 0
-        got = prox_spectral_norm(M, t, k_hint=29)  # k = 31 > 120/4
+        got = hinted_prox(M, t, 29)  # k = 31 > 120/4
         assert kernel_calls == {"svd": 0, "eigh": 1}
         no_hint = prox_spectral_norm(M, t)
         assert np.array_equal(got[0], no_hint[0]) and got[1:] == no_hint[1:]
@@ -262,12 +266,12 @@ class TestSpectralNormProxTopK:
         s = np.linalg.svd(M, compute_uv=False)
         # the top k = 5 values sum to at most t, so the full spectrum decides
         for t in (s.sum(), s.sum() + 5.0):
-            U, norm, clipped = prox_spectral_norm(M, t, k_hint=3)
+            U, norm, clipped = hinted_prox(M, t, 3)
             assert np.all(U == 0.0) and norm == 0.0
             assert clipped == 120
         # likewise for a t between the top-5 sum and the nuclear norm
         t = 1.01 * s[:5].sum()
-        self.assert_matches(prox_spectral_norm(M, t, k_hint=3), full_svd_prox(M, t))
+        self.assert_matches(hinted_prox(M, t, 3), full_svd_prox(M, t))
 
     @pytest.mark.parametrize("shape, rank", [((90, 130), 90), ((120, 120), 7), ((130, 90), 90)])
     def test_everything_clips_at_the_rounding_bound(self, shape, rank):
@@ -277,8 +281,7 @@ class TestSpectralNormProxTopK:
         M = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
         nuclear = np.linalg.svd(M, compute_uv=False).sum()
         for t in (nuclear, nuclear + 5.0):
-            for k_hint in (None, 3):
-                U, norm, clipped = prox_spectral_norm(M, t, k_hint=k_hint)
+            for U, norm, clipped in (prox_spectral_norm(M, t), hinted_prox(M, t, 3)):
                 assert np.all(U == 0.0) and norm == 0.0
                 assert clipped == rank
 
@@ -288,13 +291,13 @@ class TestSpectralNormProxTopK:
         t = float(0.5 * np.linalg.svd(M, compute_uv=False)[0])
         want = full_svd_prox(M, t)
         kernel_calls["svd"] = 0
-        self.assert_matches(prox_spectral_norm(M, t, k_hint=want[2]), want)
+        self.assert_matches(hinted_prox(M, t, want[2]), want)
         assert kernel_calls["svd"] == 0
 
     def test_repeated_calls_are_byte_identical(self, rng):
         M = low_rank_plus_noise(rng, (120, 120))
         t = float(0.5 * np.linalg.svd(M, compute_uv=False)[0])
-        (U1, n1, c1), (U2, n2, c2) = (prox_spectral_norm(M, t, k_hint=1) for _ in range(2))
+        (U1, n1, c1), (U2, n2, c2) = (hinted_prox(M, t, 1) for _ in range(2))
         assert U1.tobytes() == U2.tobytes() and (n1, c1) == (n2, c2)
 
 
@@ -328,6 +331,12 @@ def symmetric_inputs(n, rng):
     return {"random": B + B.T, "zero": np.zeros((n, n)), "rank_deficient": M.T @ M}
 
 
+def subset_eigh(a, lo, hi):
+    """Eigenpairs lo..hi of the symmetric ``a`` through SymmetricEigh, on an
+    F-ordered copy, so ``a`` is left as it was."""
+    return SymmetricEigh(np.array(a, dtype=float, order="F"), lo, hi)()
+
+
 class TestSymmetricEigh:
     """The one eigensolver: the dsyevr of numpy's bundled OpenBLAS, called with
     the GIL released, which must return scipy.linalg.eigh's bits."""
@@ -338,52 +347,50 @@ class TestSymmetricEigh:
         for a in symmetric_inputs(n, rng).values():
             for lo, hi in ranges.values():
                 want = scipy.linalg.eigh(a, subset_by_index=(lo, hi))
-                got = eigh_range(a, lo, hi)
+                got = subset_eigh(a, lo, hi)
                 assert all(x.tobytes() == y.tobytes() and x.shape == y.shape
                            for x, y in zip(got, want))
 
     @pytest.mark.parametrize("n", [1, 2, 90, 300])
     def test_gram_path_matches_scipy_eigh(self, n, rng):
         M = rng.standard_normal((n + 5, n))
-        for k in {1, min(3, n), n}:
+        # hint 0 gives k = 2 and hint 1 gives k = 3 where that is at most n/4,
+        # else k = n, as does no hint
+        for hint in (None, 0, 1):
+            k = n if hint is None or 4 * (hint + 2) > n else hint + 2
             want = scipy.linalg.eigh(M.T @ M, subset_by_index=(n - k, n - 1))
-            got = gram_eigh(M, k=k)()
+            got = gram_eigh(M, hint)()
+            assert got[0].size == k
             assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 
     def test_started_call_matches_inline_call(self, rng):
         M = rng.standard_normal((150, 120))
-        want = gram_eigh(M, k=4)()
-        eigh = gram_eigh(M, k=4)
+        want = gram_eigh(M, 2)()  # k = 4
+        started = gram_eigh(M, 2)
         with ThreadPoolExecutor(max_workers=1) as pool:
-            eigh.start(pool)
-            got = eigh()
+            started.start(pool)
+            got = started()
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 
     def test_repeated_calls_are_identical(self, rng):
         # every argument buffer must outlive the foreign call
         a = symmetric_inputs(120, rng)["random"]
-        first, second = eigh_range(a, 100, 119), eigh_range(a, 100, 119)
+        first, second = subset_eigh(a, 100, 119), subset_eigh(a, 100, 119)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(first, second))
-
-    def test_input_left_intact(self, rng):
-        a = symmetric_inputs(30, rng)["random"]
-        before = a.copy()
-        eigh_range(a, 0, 29)
-        assert np.array_equal(a, before)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad, rng):
         a = symmetric_inputs(20, rng)["random"]
         a[3, 5] = a[5, 3] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            eigh_range(a, 0, 2)
+            SymmetricEigh(np.asfortranarray(a), 0, 2)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            gram_eigh(a, k=2)()
+            gram_eigh(a, 0)()
 
     def test_bad_ranges_and_layouts_rejected(self):
         for lo, hi in ((-1, 2), (3, 2), (0, 5)):
             with pytest.raises(ValueError, match="lo <= hi"):
-                eigh_range(np.eye(5), lo, hi)
+                SymmetricEigh(np.eye(5, order="F"), lo, hi)
         with pytest.raises(ValueError, match="F-contiguous"):
             SymmetricEigh(np.eye(5)[:, :4], 0, 1)
 
@@ -418,6 +425,9 @@ def _callers() -> dict[str, set[str]]:
 class TestSingleOwner:
     def test_only_solve_starts_a_worker(self):
         assert _callers()["ThreadPoolExecutor"] == {"solver.solve"}
+
+    def test_only_gram_eigh_and_smallest_eigvecs_build_a_decomposition(self):
+        assert _callers()["SymmetricEigh"] == {"prox_ops.gram_eigh", "spectral.smallest_eigvecs"}
 
     def test_only_symmetric_eigh_calls_lapack(self):
         callers = _callers()["_dsyevr"]

@@ -62,10 +62,17 @@ class TestConfig:
         *({"n_clusters": 3, name: float("nan")}
           for name in ("lambda1", "lambda2", "lambda3", "mu0", "rho", "mu_max", "tol")),
         *({"n_clusters": 3, name: float("inf")} for name in ("rho", "mu_max", "tol")),
+        {"n_clusters": 2.5},
+        *({"n_clusters": 3, name: value}
+          for name, value in (("seed", 1.5), ("max_iter", 3.5), ("k_init", 2.5), ("seed", "1"))),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SolverConfig(n_clusters=np.int64(3), max_iter=np.int32(5), seed=np.uint8(2))
+        assert (cfg.n_clusters, cfg.max_iter, cfg.seed) == (3, 5, 2)
 
     def test_ablation_effects(self):
         full = SolverConfig(n_clusters=2, lambda2=0.5)

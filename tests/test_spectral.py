@@ -51,6 +51,13 @@ class TestSmallestEigvecs:
         idx = np.argmax(np.abs(Q1), axis=0)
         assert np.all(Q1[idx, np.arange(3)] > 0)
 
+    def test_input_left_intact(self, rng):
+        B = rng.standard_normal((30, 30))
+        L = B + B.T
+        before = L.copy()
+        smallest_eigvecs(L, 30)
+        assert np.array_equal(L, before)
+
     def test_c_out_of_range(self, rng):
         L = laplacian(rng.uniform(0, 1, size=(4, 4)))
         with pytest.raises(ValueError):
