@@ -78,7 +78,9 @@ class MultiViewDataset:
                 )
         labels = self.labels
         if labels is not None:
-            labels = np.asarray(labels).ravel()
+            labels = np.asarray(labels)
+            if labels.ndim != 1:
+                raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
             if labels.dtype.kind not in "bi":  # the CSV reader's rule, not truncation
                 labels = np.array([_label(str(value)) for value in labels.tolist()])
             labels = labels.astype(int, copy=False)

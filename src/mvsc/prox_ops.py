@@ -61,7 +61,9 @@ class SymmetricEigh:
     every buffer and sizes the workspace by LAPACK's query. Calling the object
     runs LAPACK, with the GIL released, and returns ``(values, vectors)``;
     after ``start(pool)`` LAPACK runs on the pool's thread instead, and
-    calling the object waits for it.
+    calling the object waits for it. Once the call has returned, the object
+    lets go of ``a``, whose contents LAPACK destroyed; it runs LAPACK once, so
+    a second call or ``start`` raises RuntimeError.
     """
 
     def __init__(self, a: np.ndarray, lo: int, hi: int) -> None:
@@ -104,13 +106,19 @@ class SymmetricEigh:
     def start(self, pool) -> None:
         """Submit the LAPACK call, and nothing else, to ``pool``; the submitted
         bound method keeps every buffer alive until the call returns."""
+        if self._args is None or self._future is not None:
+            raise RuntimeError("dsyevr has already been started on this matrix")
         self._future = pool.submit(self._lapack)
 
     def __call__(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._args is None:
+            raise RuntimeError("dsyevr has already run on this matrix")
         if self._future is None:
             self._lapack()
         else:
             self._future.result()
+        # _args points into a: both go together, and only after LAPACK returned
+        self.a = self._args = None
         info = int(self.ints[8])
         if info < 0:
             raise ValueError(f"dsyevr: argument {-info} had an illegal value")
@@ -226,4 +234,7 @@ def prox_spectral_norm(M: np.ndarray, t: float,
         return np.zeros_like(M), 0.0, int(np.count_nonzero(s > bound))
     a = s > theta
     Va = V[:, ::-1][:, a]
-    return M - ((M @ Va) * (1.0 - theta / s[a])) @ Va.T, float(theta), int(a.sum())
+    # M - P written over P, the same bits as M - P with one n x n array fewer
+    P = ((M @ Va) * (1.0 - theta / s[a])) @ Va.T
+    np.subtract(M, P, out=P)
+    return P, float(theta), int(a.sum())

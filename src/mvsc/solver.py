@@ -8,13 +8,14 @@ one spectral embedding Q. The solver alternates exact block minimizers of
 the augmented Lagrangian with dual ascent on the three constraint gaps
 (X - XZ - E, Z - U, Z - A) under a geometrically growing penalty; the
 E-step hands over the reconstruction gap, so XZ is formed once per view and
-iteration. Each view's U-step decomposition runs on a worker thread while the
-same view's A-, E- and w-steps, which read neither U nor Lam2, run on the
-calling thread.
+iteration. The U-steps' and the Q-step's LAPACK calls run on one worker
+thread, in the order they were started, while the calling thread runs the
+blocks that do not wait for them (see ``solve``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -55,8 +56,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
+            if f.type == "float" and not (isinstance(value, (int, float, np.integer, np.floating))
+                                          and np.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
             if f.type == "int" and not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.n_clusters < 2:
@@ -196,19 +198,21 @@ def _dense_bytes(dataset: MultiViewDataset) -> int:
     Beside it a solve holds, per view, the d x n blocks E and Lam1, and one
     view's per-iteration scratch at a time: 9 n^2 + 5 n max(d) values. The
     scratch figure bounds the peak of a whole solve as tracemalloc measured
-    it, less the state, E and Lam1, over all three ablation modes: 8.3 n^2 at
-    n = 120 and 5.6 n^2 at n = 300 for views of d <= 30, and 9 n^2 plus up to
-    4.7 n d for views of d = 200 and 600 at n = 60. Its largest part is the
-    A-step's, with the U-step's M, M^T M and eigenvectors alive beside it
-    while the worker decomposes M^T M. A fixed 64 KiB covers the allocations
-    that do not grow with n or d, which dominate at small n: 15 iterations in
-    a fresh interpreter, on views of d = 4 and 5, peaked up to 34, 24 and
-    16 KB above the rest of the figure at n = 30, 45 and 60, and 47 KB at n = 6.
+    it, less the state, E and Lam1, over all three ablation modes: 9.0 n^2 at
+    n = 120, 6.8 n^2 at n = 300 and 6.4 n^2 at n = 600 for views of d <= 30,
+    and 9 n^2 plus up to 5.2 n d for views of d = 200 and 600 at n = 60, where
+    the fixed part below covers the 0.2 n d. Its largest part is the U-step's:
+    while update_u thresholds view v, view v + 1's M, M^T M and eigenvectors
+    are alive beside view v's M and eigenvectors. A fixed 96 KiB covers the
+    allocations that do not grow with n or d, which dominate at small n:
+    15 iterations in a fresh interpreter, on views of d = 4 and 5, peaked up
+    to 70, 67 and 57 KB above the rest of the figure at n = 30, 45 and 60,
+    and 63 KB at n = 6.
     """
     n = dataset.n_samples
     dims = [view.n_features for view in dataset.views]
     state = 8 * n * sum(5 * n + min(d, n) for d in dims)
-    return state + 8 * n * (2 * sum(dims) + 9 * n + 5 * max(dims)) + 64 * 1024
+    return state + 8 * n * (2 * sum(dims) + 9 * n + 5 * max(dims)) + 96 * 1024
 
 
 def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
@@ -283,11 +287,27 @@ def update_a(state: SolverState, dataset: MultiViewDataset, config: SolverConfig
     return _project_rows_simplex_zero_diag(D)
 
 
-def update_q(state: SolverState) -> tuple[np.ndarray, float]:
+def submit_q(state: SolverState,
+             pool: ThreadPoolExecutor) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
+    """The Q-step's input, the Laplacian of the summed graphs (L is linear in the
+    graph, so it is the sum of their Laplacians), formed here, and its
+    decomposition for the c bottom eigenpairs, whose LAPACK call, and nothing
+    else, starts on ``pool``. Returns smallest_eigvecs' function that waits for
+    the call, which update_q takes."""
+    return smallest_eigvecs(laplacian(sum(state.A)), state.Q.shape[1], pool)
+
+
+def update_q(state: SolverState,
+             started: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
+             ) -> tuple[np.ndarray, float]:
     """Shared embedding: the c bottom eigenvectors of the summed graph Laplacians,
-    taken as the Laplacian of the summed graphs (L is linear in the graph), and
-    the sum of their c eigenvalues, sum_v tr(Q^T L(A_v) Q) at the returned Q."""
-    values, Q = smallest_eigvecs(laplacian(sum(state.A)), state.Q.shape[1])
+    and the sum of their c eigenvalues, sum_v tr(Q^T L(A_v) Q) at the returned Q.
+    ``started`` is submit_q's waiting function; without one, this forms the
+    Laplacian and decomposes it here."""
+    if started is None:
+        values, Q = smallest_eigvecs(laplacian(sum(state.A)), state.Q.shape[1])
+    else:
+        values, Q = started()
     return Q, float(values.sum())
 
 
@@ -402,42 +422,66 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
     """Run the full alternating scheme and label the samples by k-means on Q.
 
     Per outer iteration, each view updates Z, A, U, E, w and its
-    multipliers; then the shared Q is refreshed and the penalty grows. The
-    U-step reads only Z and Lam2, which the A-, E- and w-steps neither read
-    nor write, so each view runs Z, A, E, w, U, multipliers, with the same
-    bits as Z, A, U, E, w: after the Z-step, submit_u starts the U-step's
-    LAPACK call on one worker thread, which runs it beside the A-, E- and
-    w-steps, and returns M with the call, which update_u takes and waits
-    for. The worker lives for the call.
+    multipliers; then the shared Q is refreshed and the penalty grows.
     Stops when all constraint gaps fall below ``config.tol`` or the
     iteration budget runs out. Deterministic for a fixed config and data.
     The fused similarity's Laplacian is (1/V) sum_v L(A_v): its bottom eigenvectors span Q.
+
+    The work runs in two lanes, with the same bits as that order. The calling
+    thread runs every numpy step and makes every allocation; one worker thread
+    runs only LAPACK calls, in the order they were started. Each block is
+    moved only past blocks that neither read nor write what it reads or
+    writes:
+    - the U-step's decomposition of view v (submit_u, after Z_v) runs beside
+      A_v, E_v, w_v and Z_{v+1}, whose decomposition is started before
+      update_u waits for view v's, so the worker goes on to it at once;
+    - the Q-step's decomposition (submit_q, after the last A-step, as the A's
+      are its only input) runs beside the last view's E-, w-, U- and
+      multiplier steps and the next iteration's first Z-step, as the next
+      A-step is the first block that reads Q. Only then is the iteration's
+      trace row made: E and the objective terms are still its own.
+    The worker lives for the call.
     """
     state = initialize(dataset, config)
+    last = state.n_views - 1
     rows: list[tuple[float, ...]] = []
     converged = False
     view_terms, gaps = [0.0] * state.n_views, [None] * state.n_views
+    q_step, row_tail = None, ()  # the Q-step in flight and its iteration's gaps and mu
+
+    def close_iteration() -> None:
+        state.Q, eig_sum = update_q(state, q_step)
+        rows.append((evaluate_objective(state, config, view_terms, eig_sum), *row_tail))
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         for _ in range(config.max_iter):
+            state.Z[0] = update_z(state, dataset, 0)
+            started = submit_u(state, config, 0, pool)
+            if q_step is not None:
+                close_iteration()
             for v in range(state.n_views):
-                state.Z[v] = update_z(state, dataset, v)
-                started = submit_u(state, config, v, pool)
                 state.A[v] = update_a(state, dataset, config, v)
+                if v == last:
+                    q_step = submit_q(state, pool)
                 state.E[v], recon_gap = update_e(state, dataset, config, v)
                 state.w[v], view_terms[v] = update_w(state, dataset, config, v)
+                upcoming = None
+                if v < last:
+                    state.Z[v + 1] = update_z(state, dataset, v + 1)
+                    upcoming = submit_u(state, config, v + 1, pool)
                 state.U[v], u_term = update_u(state, config, v, started)
-                del started  # frees M and M^T M before the multiplier step allocates
+                started = upcoming  # frees view v's M and eigenvectors before the multipliers
                 view_terms[v] += u_term
                 lams, gaps[v] = update_multipliers(state, v, recon_gap)
                 state.Lam1[v], state.Lam2[v], state.Lam3[v] = lams
-            state.Q, eig_sum = update_q(state)
             worst = np.max(gaps, axis=0)  # r_recon, r_u, r_a: each gap's maximum over the views
-            rows.append((evaluate_objective(state, config, view_terms, eig_sum), *worst, state.mu))
+            row_tail = (*worst, state.mu)
             if worst.max() < config.tol:
                 converged = True
                 break
             state.mu = step_mu(state, config)
+        if q_step is not None:
+            close_iteration()
 
     width = len(fields(ConvergenceTrace))
     trace = ConvergenceTrace(*np.array(rows, dtype=float).reshape(-1, width).T)

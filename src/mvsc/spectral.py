@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .data import MultiViewDataset
@@ -25,16 +27,29 @@ def _fix_signs(Q: np.ndarray) -> np.ndarray:
     return Q * signs
 
 
-def smallest_eigvecs(L: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+def _signed(decomposition: SymmetricEigh) -> tuple[np.ndarray, np.ndarray]:
+    values, Q = decomposition()
+    return values, _fix_signs(Q)
+
+
+def smallest_eigvecs(L: np.ndarray, c: int, pool=None):
     """The c smallest eigenvalues, ascending, and their orthonormal eigenvectors,
     as ``(values, Q)``: one dsyevr call on an F-ordered copy of L's lower
-    triangle, so the caller's L is left intact."""
+    triangle, so the caller's L is left intact.
+
+    With a ``pool``, the copy and the checks are made here, the dsyevr call, and
+    nothing else, starts on the pool's thread, and what returns at once is a
+    function of no arguments that waits for the call and returns ``(values, Q)``.
+    """
     L = np.array(L, dtype=float, order="F")
     n = L.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"c must be in [1, {n}], got {c}")
-    values, Q = SymmetricEigh(L, 0, c - 1)()
-    return values, _fix_signs(Q)
+    decomposition = SymmetricEigh(L, 0, c - 1)
+    if pool is None:
+        return _signed(decomposition)
+    decomposition.start(pool)
+    return functools.partial(_signed, decomposition)
 
 
 def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

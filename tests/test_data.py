@@ -203,6 +203,14 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             MultiViewDataset(views=(v1,), labels=np.array([0, 1]))
 
+    @pytest.mark.parametrize("labels", [np.array([[0, 1], [2, 3]]), np.array([[0, 1, 2, 3]]),
+                                        np.array(2)])
+    def test_dataset_rejects_labels_that_are_not_1d(self, labels, rng):
+        # flattening [[0, 1], [2, 3]] would give 4 labels for 4 samples
+        view = ViewMatrix(rng.standard_normal((2, 4)), 0)
+        with pytest.raises(ValueError, match="labels must be 1-d"):
+            MultiViewDataset(views=(view,), labels=labels)
+
     @pytest.mark.parametrize("labels", [[0.5, 1.7, 2.9, -0.4], [0, 1, 2, np.nan],
                                         [0.0, 1.0, 2.0, 1e19]])
     def test_dataset_rejects_non_integral_labels(self, labels, rng):

@@ -1,4 +1,5 @@
 import ast
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -371,6 +372,25 @@ class TestSymmetricEigh:
             started.start(pool)
             got = started()
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+    @pytest.mark.parametrize("started", [False, True])
+    def test_work_matrix_released_and_call_made_once(self, started, rng):
+        # the call's pointers lead into the work matrix, so once it is released
+        # no second call may run LAPACK on it
+        decomposition = SymmetricEigh(np.asfortranarray(symmetric_inputs(30, rng)["random"]), 0, 2)
+        work = weakref.ref(decomposition.a)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            if started:
+                decomposition.start(pool)
+                with pytest.raises(RuntimeError, match="already been started"):
+                    decomposition.start(pool)
+            values, _ = decomposition()
+            assert values.size == 3
+            assert decomposition.a is None and work() is None
+            with pytest.raises(RuntimeError, match="already run"):
+                decomposition()
+            with pytest.raises(RuntimeError, match="already been started"):
+                decomposition.start(pool)
 
     def test_repeated_calls_are_identical(self, rng):
         # every argument buffer must outlive the foreign call

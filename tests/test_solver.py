@@ -1,7 +1,10 @@
 import copy
+import dataclasses
 import re
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -65,10 +68,17 @@ class TestConfig:
         {"n_clusters": 2.5},
         *({"n_clusters": 3, name: value}
           for name, value in (("seed", 1.5), ("max_iter", 3.5), ("k_init", 2.5), ("seed", "1"))),
+        {"n_clusters": 3, "lambda1": "0.1"},
+        {"n_clusters": 3, "tol": None},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [("lambda1", "0.1"), ("tol", None)])
+    def test_non_numeric_float_field_is_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value!r}$"):
+            SolverConfig(n_clusters=3, **{name: value})
 
     def test_numpy_integers_accepted(self):
         cfg = SolverConfig(n_clusters=np.int64(3), max_iter=np.int32(5), seed=np.uint8(2))
@@ -119,7 +129,7 @@ class TestInitialize:
         ds = make_random_dataset(n, (3, 14), rng)
         # state, E and Lam1, scratch of the widest view, fixed scratch
         needed = (8 * n * ((5 * n + 3) + (5 * n + 10)) + 8 * n * (2 * (3 + 14) + 9 * n + 5 * 14)
-                  + 64 * 1024)
+                  + 96 * 1024)
 
         def no_graph(*_):
             raise AssertionError("an n x n matrix was built before the memory check")
@@ -135,7 +145,7 @@ class TestInitialize:
     def test_dense_state_within_budget_or_unknown_runs(self, budget, rng, monkeypatch):
         ds = make_random_dataset(10, (3, 14), rng)
         needed = (8 * 10 * ((5 * 10 + 3) + (5 * 10 + 10))
-                  + 8 * 10 * (2 * (3 + 14) + 9 * 10 + 5 * 14) + 64 * 1024)
+                  + 8 * 10 * (2 * (3 + 14) + 9 * 10 + 5 * 14) + 96 * 1024)
         monkeypatch.setattr("mvsc.solver._memory_budget",
                             lambda: needed if budget == "exact" else None)
         assert initialize(ds, SolverConfig(n_clusters=2, k_init=3)).Q.shape == (10, 2)
@@ -832,3 +842,58 @@ class TestSolve:
         assert np.allclose(S, S.T)
         assert S.min() >= 0.0
         assert np.all(np.diag(S) == 0.0)
+
+
+class InlineExecutor:
+    """A stand-in for ThreadPoolExecutor whose submit runs the call at once."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("mode", ["full", "uniform_weights", "no_spectral_norm"])
+    def test_worker_changes_no_bits(self, mode, monkeypatch):
+        # the acceptance suite's noisy set, seed 1
+        spec = SynthSpec(clusters=3, samples_per_cluster=30, view_dims=(10, 10, 10),
+                         within_cluster_std=1.0, between_cluster_separation=5.0,
+                         noise_feature_counts=(0, 20, 0), seed=1)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        cfg = SolverConfig(n_clusters=3, seed=0, ablation=mode)
+        lapack_calls = []
+        real_lapack = SymmetricEigh._lapack
+
+        def recorded(self):
+            lapack_calls.append((int(self.ints[2]), int(self.ints[3]), threading.get_ident()))
+            real_lapack(self)
+
+        monkeypatch.setattr(SymmetricEigh, "_lapack", recorded)
+        threaded = solve(ds, cfg)
+        # dsyevr's 1-based il..iu: the Q-step asks for 1..c, a U-step always ends at n
+        q_threads = [thread for il, iu, thread in lapack_calls if (il, iu) == (1, 3)]
+        monkeypatch.setattr(mvsc.solver, "ThreadPoolExecutor", InlineExecutor)
+        inline = solve(ds, cfg)
+
+        # initialize's Q-step runs on the calling thread, every later one on the worker
+        caller = threading.get_ident()
+        assert len(q_threads) == 1 + threaded.iterations and q_threads[0] == caller
+        assert caller not in q_threads[1:]
+        assert threaded.iterations == inline.iterations > 1
+        assert threaded.converged == inline.converged
+        assert np.array_equal(threaded.labels, inline.labels)
+        pairs = [(threaded.Q, inline.Q), (threaded.fused_similarity, inline.fused_similarity),
+                 *zip(threaded.weights, inline.weights)]
+        pairs += [(getattr(threaded.trace, f.name), getattr(inline.trace, f.name))
+                  for f in dataclasses.fields(threaded.trace)]
+        assert all(got.tobytes() == want.tobytes() for got, want in pairs)
