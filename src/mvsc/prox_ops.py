@@ -14,12 +14,16 @@ numpy's wheels bundle, which exports it as ``scipy_dsyevr_64_`` (the Fortran
 interface with 64-bit integers). It is found through numpy's own linalg
 extension, which links that library, and called with ctypes, which releases
 the GIL for the call. So a decomposition can run on a second thread while the
-first keeps computing, and the package needs no LAPACK beyond numpy's.
+first keeps computing, and the package needs no LAPACK beyond numpy's. The
+same library's thread-count getter and setter serve ``one_blas_thread``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import os
+import threading
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -27,25 +31,57 @@ from numpy.linalg import _umath_linalg
 DSYEVR = "scipy_dsyevr_64_"
 
 
-def _bundled_dsyevr():
-    """dsyevr of numpy's bundled OpenBLAS as a ctypes function: its three
-    character arguments as bytes, the other 18 by address, then the three
-    lengths of the character arguments that Fortran passes hidden at the end.
-    ImportError when numpy's linalg extension does not reach the symbol, as
-    with numpy builds that link another LAPACK."""
+def _bundled(symbol: str, argtypes: list, restype):
+    """``symbol`` of numpy's bundled OpenBLAS as a ctypes function with the given
+    argument and result types. ImportError when numpy's linalg extension does
+    not reach it, as with numpy builds that link another LAPACK."""
     library = _umath_linalg.__file__
     try:
-        dsyevr = getattr(ctypes.CDLL(library), DSYEVR)
+        function = getattr(ctypes.CDLL(library), symbol)
     except AttributeError:
-        raise ImportError(f"{library} does not export {DSYEVR}: mvsc calls the dsyevr of the "
-                          "OpenBLAS bundled with numpy; a numpy wheel from PyPI provides it"
-                          ) from None
-    dsyevr.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 3
-    dsyevr.restype = None
-    return dsyevr
+        raise ImportError(f"{library} does not export {symbol}: mvsc calls the OpenBLAS "
+                          "bundled with numpy; a numpy wheel from PyPI provides it") from None
+    function.argtypes, function.restype = argtypes, restype
+    return function
 
 
-_dsyevr = _bundled_dsyevr()
+# dsyevr's three character arguments as bytes, the other 18 by address, then the
+# three lengths of the character arguments that Fortran passes hidden at the end
+_dsyevr = _bundled(DSYEVR, [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 18
+                   + [ctypes.c_size_t] * 3, None)
+_blas_threads = _bundled("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
+_set_blas_threads = _bundled("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)
+
+# set by a user who chose a thread count; OpenBLAS reads them when it loads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# the count is process-wide: the first block in sets it, the last one out restores it
+_pin_lock = threading.Lock()
+_pinned_blocks = 0
+_count_before = 0
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS at 1 thread, and restore its previous
+    count afterwards. When one of ``BLAS_THREAD_VARIABLES`` is set (non-empty),
+    the user's choice stands and the count is left alone. Blocks may overlap,
+    in one thread or several: the count is restored when the last one ends."""
+    global _pinned_blocks, _count_before
+    if any(os.environ.get(name) for name in BLAS_THREAD_VARIABLES):
+        yield
+        return
+    with _pin_lock:
+        if _pinned_blocks == 0:
+            _count_before = _blas_threads()
+            _set_blas_threads(1)
+        _pinned_blocks += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pinned_blocks -= 1
+            if _pinned_blocks == 0:
+                _set_blas_threads(_count_before)
 
 
 class SymmetricEigh:
@@ -157,14 +193,12 @@ def _project_rows_simplex_zero_diag(V: np.ndarray) -> np.ndarray:
     n = V.shape[0]
     theta = np.empty(n)
     for start in range(0, n, _PROJECTION_ROWS):
-        rows = V[start:start + _PROJECTION_ROWS]
-        m = rows.shape[0]
-        # each row sorted descending with its own entry last, as -sort(-v)
-        u = np.negative(rows)
-        u[np.arange(m), np.arange(start, start + m)] = np.inf
+        u = V[start:start + _PROJECTION_ROWS].copy()
+        m = u.shape[0]
+        # each row's own entry sorts first at -inf; read reversed, the rest descend
+        u[np.arange(m), np.arange(start, start + m)] = -np.inf
         u.sort(axis=1)
-        np.negative(u, out=u)
-        theta[start:start + m] = _sort_threshold(u[:, : n - 1], 1.0)
+        theta[start:start + m] = _sort_threshold(u[:, :0:-1], 1.0)
     A = V - theta[:, None]
     np.maximum(A, 0.0, out=A)
     np.fill_diagonal(A, 0.0)

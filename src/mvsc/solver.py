@@ -25,7 +25,7 @@ from .data import MultiViewDataset, write_csv
 from .graph_ops import fuse_similarity, knn_affinity, laplacian, weighted_sq_distances
 from .graph_ops import pairwise_sq_distances  # noqa: F401  (perfbench/tracer.py binds it here)
 from .prox_ops import SymmetricEigh, _project_rows_simplex_zero_diag, gram_eigh
-from .prox_ops import prox_spectral_norm, soft_threshold
+from .prox_ops import one_blas_thread, prox_spectral_norm, soft_threshold
 from .spectral import kmeans, smallest_eigvecs
 
 ABLATION_MODES = ("full", "uniform_weights", "no_spectral_norm")
@@ -56,10 +56,11 @@ class SolverConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not (isinstance(value, (int, float, np.integer, np.floating))
-                                          and np.isfinite(value)):
+            number = (isinstance(value, (int, float, np.integer, np.floating))
+                      and not isinstance(value, (bool, np.bool_)))  # bool is an int subclass
+            if f.type == "float" and not (number and np.isfinite(value)):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-            if f.type == "int" and not isinstance(value, (int, np.integer)):
+            if f.type == "int" and not (number and isinstance(value, (int, np.integer))):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.n_clusters < 2:
             raise ValueError("n_clusters must be >= 2")
@@ -244,7 +245,7 @@ def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
         Lam2.append(np.zeros((n, n)))
         Lam3.append(np.zeros((n, n)))
         w.append(np.full(view.n_features, 1.0 / view.n_features))
-    _, Q = smallest_eigvecs(laplacian(sum(A)), config.n_clusters)
+    _, Q = submit_q(A, config.n_clusters)()
 
     return SolverState(Z=Z, A=A, U=U, E=E, Lam1=Lam1, Lam2=Lam2, Lam3=Lam3,
                        w=w, Q=Q, mu=config.mu0, z_factor=z_step_factors(dataset))
@@ -287,27 +288,21 @@ def update_a(state: SolverState, dataset: MultiViewDataset, config: SolverConfig
     return _project_rows_simplex_zero_diag(D)
 
 
-def submit_q(state: SolverState,
-             pool: ThreadPoolExecutor) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
+def submit_q(graphs: list[np.ndarray], c: int,
+             pool: ThreadPoolExecutor | None = None) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
     """The Q-step's input, the Laplacian of the summed graphs (L is linear in the
     graph, so it is the sum of their Laplacians), formed here, and its
-    decomposition for the c bottom eigenpairs, whose LAPACK call, and nothing
-    else, starts on ``pool``. Returns smallest_eigvecs' function that waits for
-    the call, which update_q takes."""
-    return smallest_eigvecs(laplacian(sum(state.A)), state.Q.shape[1], pool)
+    decomposition for the c bottom eigenpairs: smallest_eigvecs' function that
+    returns them, whose LAPACK call, and nothing else, starts on ``pool`` when
+    one is given."""
+    return smallest_eigvecs(laplacian(sum(graphs)), c, pool)
 
 
-def update_q(state: SolverState,
-             started: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
-             ) -> tuple[np.ndarray, float]:
+def update_q(started: Callable[[], tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, float]:
     """Shared embedding: the c bottom eigenvectors of the summed graph Laplacians,
-    and the sum of their c eigenvalues, sum_v tr(Q^T L(A_v) Q) at the returned Q.
-    ``started`` is submit_q's waiting function; without one, this forms the
-    Laplacian and decomposes it here."""
-    if started is None:
-        values, Q = smallest_eigvecs(laplacian(sum(state.A)), state.Q.shape[1])
-    else:
-        values, Q = started()
+    and the sum of their c eigenvalues, sum_v tr(Q^T L(A_v) Q) at the returned Q,
+    from ``started``, submit_q's function, which waits for its LAPACK call."""
+    values, Q = started()
     return Q, float(values.sum())
 
 
@@ -327,13 +322,12 @@ def submit_u(state: SolverState, config: SolverConfig, view: int,
 
 
 def update_u(state: SolverState, config: SolverConfig, view: int,
-             started: tuple[np.ndarray, SymmetricEigh | None] | None = None,
-             ) -> tuple[np.ndarray, float]:
+             started: tuple[np.ndarray, SymmetricEigh | None]) -> tuple[np.ndarray, float]:
     """Spectral-norm proximal step on M = Z + Lam2/mu at weight lambda2/mu: U and the
     objective's U term lambda2 * ||U||_2. At weight 0 it is the identity, with no prox.
-    ``started`` is submit_u's (M, first decomposition), which this calls itself
-    when none is given; the prox's clipped count becomes the view's next hint."""
-    M, first = submit_u(state, config, view) if started is None else started
+    ``started`` is submit_u's (M, first decomposition); the prox's clipped count
+    becomes the view's next hint."""
+    M, first = started
     if first is None:
         return M, 0.0
     U, norm, state.clipped[view] = prox_spectral_norm(M, config.effective_lambda2 / state.mu,
@@ -418,6 +412,7 @@ def evaluate_objective(state: SolverState, config: SolverConfig, view_terms: lis
             + config.lambda3 * sum(float(np.abs(E).sum()) for E in state.E))
 
 
+@one_blas_thread()
 def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
     """Run the full alternating scheme and label the samples by k-means on Q.
 
@@ -440,7 +435,10 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
       multiplier steps and the next iteration's first Z-step, as the next
       A-step is the first block that reads Q. Only then is the iteration's
       trace row made: E and the objective terms are still its own.
-    The worker lives for the call.
+    The worker lives for the call. So does a thread count of 1 for numpy's
+    OpenBLAS, unless the user set one (``one_blas_thread``): beside the worker,
+    more threads only oversubscribe the cores, and 1 was faster on 2 cores at
+    every size measured, n = 300 to 1200.
     """
     state = initialize(dataset, config)
     last = state.n_views - 1
@@ -450,7 +448,7 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
     q_step, row_tail = None, ()  # the Q-step in flight and its iteration's gaps and mu
 
     def close_iteration() -> None:
-        state.Q, eig_sum = update_q(state, q_step)
+        state.Q, eig_sum = update_q(q_step)
         rows.append((evaluate_objective(state, config, view_terms, eig_sum), *row_tail))
 
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -462,7 +460,7 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
             for v in range(state.n_views):
                 state.A[v] = update_a(state, dataset, config, v)
                 if v == last:
-                    q_step = submit_q(state, pool)
+                    q_step = submit_q(state.A, config.n_clusters, pool)
                 state.E[v], recon_gap = update_e(state, dataset, config, v)
                 state.w[v], view_terms[v] = update_w(state, dataset, config, v)
                 upcoming = None

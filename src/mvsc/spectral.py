@@ -33,22 +33,22 @@ def _signed(decomposition: SymmetricEigh) -> tuple[np.ndarray, np.ndarray]:
 
 
 def smallest_eigvecs(L: np.ndarray, c: int, pool=None):
-    """The c smallest eigenvalues, ascending, and their orthonormal eigenvectors,
-    as ``(values, Q)``: one dsyevr call on an F-ordered copy of L's lower
-    triangle, so the caller's L is left intact.
+    """A function of no arguments that returns the c smallest eigenvalues of L,
+    ascending, and their orthonormal eigenvectors as ``(values, Q)``, from one
+    dsyevr call on an F-ordered copy of L's lower triangle, so the caller's L is
+    left intact.
 
-    With a ``pool``, the copy and the checks are made here, the dsyevr call, and
-    nothing else, starts on the pool's thread, and what returns at once is a
-    function of no arguments that waits for the call and returns ``(values, Q)``.
+    The copy and the checks are made here. The dsyevr call, and nothing else,
+    starts on the ``pool``'s thread when one is given, and the returned function
+    waits for it; without a pool, the call runs when the function is called.
     """
     L = np.array(L, dtype=float, order="F")
     n = L.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"c must be in [1, {n}], got {c}")
     decomposition = SymmetricEigh(L, 0, c - 1)
-    if pool is None:
-        return _signed(decomposition)
-    decomposition.start(pool)
+    if pool is not None:
+        decomposition.start(pool)
     return functools.partial(_signed, decomposition)
 
 
@@ -134,7 +134,7 @@ def ncut_baseline(dataset: MultiViewDataset, c: int, seed: int,
     S = gaussian_affinity(X, sigma=1.0)
     if ratio_cut:
         L = laplacian(S)
-        _, Q = smallest_eigvecs(L, c)
+        _, Q = smallest_eigvecs(L, c)()
     else:
         deg = S.sum(axis=1)
         inv_sqrt = np.zeros_like(deg)
@@ -143,7 +143,7 @@ def ncut_baseline(dataset: MultiViewDataset, c: int, seed: int,
         # zero-degree samples keep an identity row in L
         L = np.eye(S.shape[0]) - (inv_sqrt[:, None] * S) * inv_sqrt[None, :]
         L = 0.5 * (L + L.T)
-        _, Q = smallest_eigvecs(L, c)
+        _, Q = smallest_eigvecs(L, c)()
         norms = np.linalg.norm(Q, axis=1, keepdims=True)
         Q = np.divide(Q, norms, out=Q.copy(), where=norms > 0)
     return kmeans(Q, c, seed=seed)

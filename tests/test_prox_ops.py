@@ -16,7 +16,7 @@ from mvsc import prox_ops
 from mvsc.prox_ops import (
     DSYEVR,
     SymmetricEigh,
-    _bundled_dsyevr,
+    _bundled,
     _project_rows_simplex_zero_diag,
     gram_eigh,
     prox_spectral_norm,
@@ -418,7 +418,23 @@ class TestSymmetricEigh:
         # a numpy that links another LAPACK: its linalg extension reaches no such symbol
         monkeypatch.setattr(prox_ops.ctypes, "CDLL", lambda path: object())
         with pytest.raises(ImportError, match=f"does not export {DSYEVR}: .* numpy wheel from PyPI"):
-            _bundled_dsyevr()
+            _bundled(DSYEVR, [], None)
+
+
+def _called(node) -> str | None:
+    """The last name of a call's callee, None for anything but a call."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _functions() -> list[tuple[str, ast.FunctionDef]]:
+    """Every function in src/mvsc as (``module.function``, its node)."""
+    return [(f"{path.stem}.{node.name}", node)
+            for path in Path(mvsc.__file__).parent.glob("*.py")
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef)]
 
 
 def _callers() -> dict[str, set[str]]:
@@ -432,9 +448,7 @@ def _callers() -> dict[str, set[str]]:
                 visit(child, f"{scope}.{child.name}")
                 continue
             if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                found.setdefault(name, set()).add(scope)
+                found.setdefault(_called(child), set()).add(scope)
             visit(child, scope)
 
     for path in Path(mvsc.__file__).parent.glob("*.py"):
@@ -456,3 +470,15 @@ class TestSingleOwner:
     def test_no_other_eigensolver(self):
         callers = _callers()
         assert [name for name in ("eigh", "eigvalsh") if name in callers] == []
+
+    def test_one_function_forms_the_q_steps_input(self):
+        # the Laplacian of the summed graphs, decomposed for its bottom c eigenpairs
+        sums = {scope for scope, node in _functions() if any(
+            _called(call) == "laplacian" and call.args and _called(call.args[0]) == "sum"
+            for call in ast.walk(node) if isinstance(call, ast.Call))}
+        callers = _callers()["smallest_eigvecs"]
+        assert sums & callers == {"solver.submit_q"}
+
+    def test_smallest_eigvecs_has_one_return(self):
+        node = dict(_functions())["spectral.smallest_eigvecs"]
+        assert sum(isinstance(child, ast.Return) for child in ast.walk(node)) == 1

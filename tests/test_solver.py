@@ -11,9 +11,10 @@ import pytest
 import scipy.optimize
 
 import mvsc.solver
+from mvsc import prox_ops
 from mvsc.data import MultiViewDataset, SynthSpec, ViewMatrix, generate_synthetic, normalize
 from mvsc.graph_ops import knn_affinity, laplacian
-from mvsc.prox_ops import SymmetricEigh
+from mvsc.prox_ops import BLAS_THREAD_VARIABLES, SymmetricEigh
 from mvsc.solver import (
     ClusteringResult,
     SolverConfig,
@@ -22,6 +23,8 @@ from mvsc.solver import (
     initialize,
     solve,
     step_mu,
+    submit_q,
+    submit_u,
     update_a,
     update_e,
     update_multipliers,
@@ -70,6 +73,9 @@ class TestConfig:
           for name, value in (("seed", 1.5), ("max_iter", 3.5), ("k_init", 2.5), ("seed", "1"))),
         {"n_clusters": 3, "lambda1": "0.1"},
         {"n_clusters": 3, "tol": None},
+        *({"n_clusters": 3, name: value} for name, value in (
+            ("max_iter", True), ("lambda1", True), ("seed", False), ("k_init", np.True_),
+            ("mu0", np.True_))),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -317,13 +323,13 @@ class TestUpdateQ:
                 others = [j for j in idx if j != i]
                 A[i, others] = 1.0 / len(others)
         state.A = [A.copy(), A.copy()]
-        Q, _ = update_q(state)
+        Q, _ = update_q(submit_q(state.A, state.Q.shape[1]))
         M = sum(laplacian(a) for a in state.A)
         assert abs(np.trace(Q.T @ M @ Q)) <= 1e-8
 
     def test_trace_matches_full_spectrum(self, small_problem):
         ds, cfg, state = small_problem
-        Q, eigenvalue_sum = update_q(state)
+        Q, eigenvalue_sum = update_q(submit_q(state.A, state.Q.shape[1]))
         M = sum(laplacian(a) for a in state.A)
         want = np.sort(np.linalg.eigvalsh(M))[: cfg.n_clusters].sum()
         assert np.trace(Q.T @ M @ Q) == pytest.approx(want, abs=1e-8)
@@ -342,7 +348,7 @@ class TestUpdateU:
         for cfg in (SolverConfig(n_clusters=2, lambda2=0.0, k_init=2),
                     SolverConfig(n_clusters=2, lambda2=0.5, k_init=2, ablation="no_spectral_norm")):
             state = make_random_state(ds, cfg, rng, mu=2.0)
-            U, term = update_u(state, cfg, 0)
+            U, term = update_u(state, cfg, 0, submit_u(state, cfg, 0))
             assert np.array_equal(U, state.Z[0] + state.Lam2[0] / 2.0)
             assert term == 0.0
 
@@ -352,11 +358,11 @@ class TestUpdateU:
         M = state.Z[0] + state.Lam2[0]
         nuclear = np.linalg.svd(M, compute_uv=False).sum()
         cfg = SolverConfig(n_clusters=2, lambda2=nuclear + 1.0, k_init=2)
-        assert np.allclose(update_u(state, cfg, 0)[0], 0.0, atol=1e-10)
+        assert np.allclose(update_u(state, cfg, 0, submit_u(state, cfg, 0))[0], 0.0, atol=1e-10)
 
     def test_beats_random_perturbations(self, small_problem, rng):
         ds, cfg, state = small_problem
-        U, term = update_u(state, cfg, 0)
+        U, term = update_u(state, cfg, 0, submit_u(state, cfg, 0))
         assert term == pytest.approx(cfg.lambda2 * spectral_norm_via_gram(U), rel=1e-10)
         M = state.Z[0] + state.Lam2[0] / state.mu
 
@@ -393,7 +399,7 @@ class TestUpdateU:
 
         monkeypatch.setattr("numpy.linalg.svd", counted_svd)
         monkeypatch.setattr(SymmetricEigh, "__init__", counted_eigh)
-        U, term = update_u(state, cfg, 0)
+        U, term = update_u(state, cfg, 0, submit_u(state, cfg, 0))
         assert calls == [("eigh", (40, 40), (0, 39))]
         assert np.abs(U - U_full).max() <= 1e-12 * np.abs(U_full).max()
         assert term == pytest.approx(cfg.lambda2 * (s - shrink)[0], rel=1e-12)
@@ -406,7 +412,7 @@ class TestUpdateU:
         n = ds.n_samples
         hinted = []
 
-        def checked(state, config, view, started=None):
+        def checked(state, config, view, started):
             M = state.Z[view] + state.Lam2[view] / state.mu
             P, s, Qt = np.linalg.svd(M, full_matrices=False)
             shrink = project_l1_ball(s, config.effective_lambda2 / state.mu)
@@ -596,7 +602,7 @@ def objective_from_blocks(state, dataset, config):
     for v in range(state.n_views):
         state.w[v], dist_term = update_w(state, dataset, config, v)
         view_terms.append(dist_term + config.effective_lambda2 * spectral_norm_via_gram(state.U[v]))
-    state.Q, eigenvalue_sum = update_q(state)
+    state.Q, eigenvalue_sum = update_q(submit_q(state.A, state.Q.shape[1]))
     return evaluate_objective(state, config, view_terms, eigenvalue_sum)
 
 
@@ -629,10 +635,10 @@ def apply_block(block, state, dataset, config):
         for v in range(state.n_views):
             state.A[v] = update_a(state, dataset, config, v)
     elif block == "q":
-        state.Q, _ = update_q(state)
+        state.Q, _ = update_q(submit_q(state.A, state.Q.shape[1]))
     elif block == "u":
         for v in range(state.n_views):
-            state.U[v], _ = update_u(state, config, v)
+            state.U[v], _ = update_u(state, config, v, submit_u(state, config, v))
     elif block == "e":
         for v in range(state.n_views):
             state.E[v], _ = update_e(state, dataset, config, v)
@@ -715,7 +721,7 @@ class TestSolve:
             for v in range(state.n_views):
                 state.Z[v] = update_z(state, ds, v)
                 state.A[v] = update_a(state, ds, cfg, v)
-                state.U[v], _ = update_u(state, cfg, v)
+                state.U[v], _ = update_u(state, cfg, v, submit_u(state, cfg, v))
                 state.E[v], recon_gap = update_e(state, ds, cfg, v)
                 state.w[v], _ = update_w(state, ds, cfg, v)
                 (state.Lam1[v], state.Lam2[v], state.Lam3[v]), _ = update_multipliers(state, v, recon_gap)
@@ -724,7 +730,7 @@ class TestSolve:
                 assert np.all(np.diag(state.A[v]) == 0.0)
                 assert state.w[v].min() >= 0.0
                 assert abs(state.w[v].sum() - 1.0) <= 1e-12
-            state.Q, _ = update_q(state)
+            state.Q, _ = update_q(submit_q(state.A, state.Q.shape[1]))
             assert np.linalg.norm(state.Q.T @ state.Q - np.eye(2)) <= 1e-9
             state.mu = step_mu(state, cfg)
 
@@ -810,7 +816,7 @@ class TestSolve:
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
         cfg = SolverConfig(n_clusters=3, max_iter=40, ablation=mode)
         result = solve(ds, cfg)
-        _, Qg = smallest_eigvecs(laplacian(result.fused_similarity), cfg.n_clusters)
+        _, Qg = smallest_eigvecs(laplacian(result.fused_similarity), cfg.n_clusters)()
         assert np.linalg.norm(result.Q @ result.Q.T - Qg @ Qg.T) <= 1e-10
         assert np.array_equal(kmeans(Qg, cfg.n_clusters, seed=cfg.seed), result.labels)
 
@@ -862,6 +868,98 @@ class InlineExecutor:
         return future
 
 
+def same_bits(got: ClusteringResult, want: ClusteringResult) -> bool:
+    """Labels, iterations, converged, Q, fused similarity, weights and every
+    trace column bit for bit."""
+    pairs = [(got.labels, want.labels), (got.Q, want.Q),
+             (got.fused_similarity, want.fused_similarity), *zip(got.weights, want.weights)]
+    pairs += [(getattr(got.trace, f.name), getattr(want.trace, f.name))
+              for f in dataclasses.fields(got.trace)]
+    return (got.iterations == want.iterations and got.converged == want.converged
+            and all(a.tobytes() == b.tobytes() for a, b in pairs))
+
+
+class TestBlasThreads:
+    def test_solve_runs_at_one_thread_and_restores_the_count(self, monkeypatch):
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        before, set_counts, seen = prox_ops._blas_threads(), [], []
+        real_set, real_update_a = prox_ops._set_blas_threads, mvsc.solver.update_a
+
+        def recorded(count):
+            set_counts.append(count)
+            real_set(count)
+
+        def watched(*args):
+            seen.append(prox_ops._blas_threads())
+            return real_update_a(*args)
+
+        monkeypatch.setattr(prox_ops, "_set_blas_threads", recorded)
+        monkeypatch.setattr(mvsc.solver, "update_a", watched)
+        spec = SynthSpec(clusters=2, samples_per_cluster=6, view_dims=(3, 4), seed=4)
+        solve(normalize(generate_synthetic(spec), "unit_l2_per_sample"),
+              SolverConfig(n_clusters=2, max_iter=3))
+        assert set_counts == [1, before] and set(seen) == {1} and len(seen) == 6
+        assert prox_ops._blas_threads() == before
+
+    @pytest.mark.parametrize("name", BLAS_THREAD_VARIABLES)
+    def test_a_users_choice_is_left_alone(self, name, monkeypatch):
+        def refused(count):
+            raise AssertionError(f"set the BLAS thread count to {count}")
+
+        for other in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(other, raising=False)
+        monkeypatch.setenv(name, "2")
+        monkeypatch.setattr(prox_ops, "_set_blas_threads", refused)
+        spec = SynthSpec(clusters=2, samples_per_cluster=6, view_dims=(3, 4), seed=4)
+        result = solve(normalize(generate_synthetic(spec), "unit_l2_per_sample"),
+                       SolverConfig(n_clusters=2, max_iter=3))
+        assert result.iterations == 3
+
+    def test_overlapping_blocks_restore_the_count_once(self, monkeypatch):
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        before, inside = prox_ops._blas_threads(), []
+
+        def enter_and_leave():
+            for _ in range(200):
+                with prox_ops.one_blas_thread():
+                    inside.append(prox_ops._blas_threads())
+
+        threads = [threading.Thread(target=enter_and_leave) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert inside == [1] * 800 and prox_ops._blas_threads() == before
+
+    def test_unpinned_solve_equals_a_pinned_one(self, monkeypatch):
+        # n = 180: on 2 cores, 5 iterations at OpenBLAS's default count change the last bits
+        spec = SynthSpec(clusters=3, samples_per_cluster=60, view_dims=(10, 10, 10),
+                         within_cluster_std=1.0, between_cluster_separation=5.0,
+                         noise_feature_counts=(0, 20, 0), seed=1)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        cfg = SolverConfig(n_clusters=3, max_iter=5)
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        unpinned = solve(ds, cfg)
+        # a user who pinned OpenBLAS to 1 thread before the solve
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        before = prox_ops._blas_threads()
+        prox_ops._set_blas_threads(1)
+        try:
+            pinned = solve(ds, cfg)
+        finally:
+            prox_ops._set_blas_threads(before)
+        assert same_bits(unpinned, pinned)
+
+
 class TestSchedule:
     @pytest.mark.parametrize("mode", ["full", "uniform_weights", "no_spectral_norm"])
     def test_worker_changes_no_bits(self, mode, monkeypatch):
@@ -889,11 +987,4 @@ class TestSchedule:
         caller = threading.get_ident()
         assert len(q_threads) == 1 + threaded.iterations and q_threads[0] == caller
         assert caller not in q_threads[1:]
-        assert threaded.iterations == inline.iterations > 1
-        assert threaded.converged == inline.converged
-        assert np.array_equal(threaded.labels, inline.labels)
-        pairs = [(threaded.Q, inline.Q), (threaded.fused_similarity, inline.fused_similarity),
-                 *zip(threaded.weights, inline.weights)]
-        pairs += [(getattr(threaded.trace, f.name), getattr(inline.trace, f.name))
-                  for f in dataclasses.fields(threaded.trace)]
-        assert all(got.tobytes() == want.tobytes() for got, want in pairs)
+        assert threaded.iterations > 1 and same_bits(threaded, inline)

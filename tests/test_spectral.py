@@ -5,6 +5,7 @@ import scipy.linalg
 from mvsc.data import MultiViewDataset, ViewMatrix
 from mvsc.graph_ops import gaussian_affinity, laplacian
 from mvsc.metrics import ari
+from mvsc.prox_ops import SymmetricEigh
 from mvsc.spectral import _plusplus_init, kmeans, lloyd, ncut_baseline, smallest_eigvecs
 
 
@@ -23,30 +24,30 @@ def block_diagonal_graph(sizes, rng):
 class TestSmallestEigvecs:
     def test_component_indicators_have_zero_energy(self, rng):
         L = laplacian(block_diagonal_graph([4, 3, 5], rng))
-        _, Q = smallest_eigvecs(L, 3)
+        _, Q = smallest_eigvecs(L, 3)()
         assert abs(np.trace(Q.T @ L @ Q)) <= 1e-8
 
     def test_full_basis_recovers_total_trace(self, rng):
         L = laplacian(rng.uniform(0, 1, size=(6, 6)))
-        _, Q = smallest_eigvecs(L, 6)
+        _, Q = smallest_eigvecs(L, 6)()
         assert np.trace(Q.T @ L @ Q) == pytest.approx(np.trace(L), abs=1e-8)
 
     def test_orthonormal_columns(self, rng):
         L = laplacian(rng.uniform(0, 1, size=(9, 9)))
-        _, Q = smallest_eigvecs(L, 4)
+        _, Q = smallest_eigvecs(L, 4)()
         assert np.linalg.norm(Q.T @ Q - np.eye(4)) <= 1e-9
 
     def test_eigenvalue_sum_matches_full_decomposition(self, rng):
         M = rng.standard_normal((8, 8))
         L = M @ M.T  # random PSD
-        _, Q = smallest_eigvecs(L, 3)
+        _, Q = smallest_eigvecs(L, 3)()
         want = np.sort(np.linalg.eigvalsh(L))[:3].sum()
         assert np.trace(Q.T @ L @ Q) == pytest.approx(want, abs=1e-8)
 
     def test_deterministic_sign_convention(self, rng):
         L = laplacian(rng.uniform(0, 1, size=(7, 7)))
-        _, Q1 = smallest_eigvecs(L, 3)
-        _, Q2 = smallest_eigvecs(L.copy(), 3)
+        _, Q1 = smallest_eigvecs(L, 3)()
+        _, Q2 = smallest_eigvecs(L.copy(), 3)()
         assert np.array_equal(Q1, Q2)
         idx = np.argmax(np.abs(Q1), axis=0)
         assert np.all(Q1[idx, np.arange(3)] > 0)
@@ -55,8 +56,22 @@ class TestSmallestEigvecs:
         B = rng.standard_normal((30, 30))
         L = B + B.T
         before = L.copy()
-        smallest_eigvecs(L, 30)
+        smallest_eigvecs(L, 30)()
         assert np.array_equal(L, before)
+
+    def test_dsyevr_runs_when_the_result_is_called(self, rng, monkeypatch):
+        calls = []
+        real_lapack = SymmetricEigh._lapack
+
+        def recorded(self):
+            calls.append(self)
+            real_lapack(self)
+
+        monkeypatch.setattr(SymmetricEigh, "_lapack", recorded)
+        started = smallest_eigvecs(laplacian(rng.uniform(0, 1, size=(6, 6))), 2)
+        assert calls == []
+        values, Q = started()
+        assert len(calls) == 1 and values.shape == (2,) and Q.shape == (6, 2)
 
     def test_c_out_of_range(self, rng):
         L = laplacian(rng.uniform(0, 1, size=(4, 4)))
