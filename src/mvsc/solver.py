@@ -197,23 +197,27 @@ def _dense_bytes(dataset: MultiViewDataset) -> int:
     The state holds, per view, five n x n float64 matrices (Z, A, U, Lam2,
     Lam3) and the n x min(d, n) Z-step factor: 8 n (5 n + min(d, n)) bytes.
     Beside it a solve holds, per view, the d x n blocks E and Lam1, and one
-    view's per-iteration scratch at a time: 9 n^2 + 5 n max(d) values. The
+    view's per-iteration scratch at a time: 6 n^2 + 5 n max(d) values. The
     scratch figure bounds the peak of a whole solve as tracemalloc measured
-    it, less the state, E and Lam1, over all three ablation modes: 9.0 n^2 at
-    n = 120, 6.8 n^2 at n = 300 and 6.4 n^2 at n = 600 for views of d <= 30,
-    and 9 n^2 plus up to 5.2 n d for views of d = 200 and 600 at n = 60, where
-    the fixed part below covers the 0.2 n d. Its largest part is the U-step's:
-    while update_u thresholds view v, view v + 1's M, M^T M and eigenvectors
-    are alive beside view v's M and eigenvectors. A fixed 96 KiB covers the
-    allocations that do not grow with n or d, which dominate at small n:
-    15 iterations in a fresh interpreter, on views of d = 4 and 5, peaked up
-    to 70, 67 and 57 KB above the rest of the figure at n = 30, 45 and 60,
-    and 63 KB at n = 6.
+    it, less the state, E and Lam1, over all three ablation modes and 15
+    iterations: 9.2 n^2 at n = 90, 8.1 n^2 at n = 120, 6.4 n^2 at n = 180,
+    4.2 n^2 at n = 300 and 3.8 n^2 at n = 600 for views of d <= 30, and
+    6 n^2 plus up to 5.0 n d for views of d = 200 and 600 at n = 60. Its
+    largest part is the U-step's: while update_u thresholds view v, view
+    v + 1's M^T M and eigenvectors are alive beside view v's M, eigenvectors
+    and result. The eigenvectors are the top partial_k(n), and n x n only when
+    the prox takes the full spectrum, after a miss or a hint past
+    partial_k(n); that happened in the first iterations at n = 90 to 180,
+    where it set the 6 n^2, while at n >= 300 every call was partial. A fixed
+    128 KiB covers the allocations that do not grow with n or d, which
+    dominate at small n: 15 iterations in a fresh interpreter, on views of
+    d = 4 and 5, peaked up to 84, 101 and 116 KB above the rest of the figure
+    at n = 30, 45 and 60, and 67 KB at n = 6.
     """
     n = dataset.n_samples
     dims = [view.n_features for view in dataset.views]
     state = 8 * n * sum(5 * n + min(d, n) for d in dims)
-    return state + 8 * n * (2 * sum(dims) + 9 * n + 5 * max(dims)) + 96 * 1024
+    return state + 8 * n * (2 * sum(dims) + 6 * n + 5 * max(dims)) + 128 * 1024
 
 
 def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
@@ -306,32 +310,42 @@ def update_q(started: Callable[[], tuple[np.ndarray, np.ndarray]]) -> tuple[np.n
     return Q, float(values.sum())
 
 
+def u_input(state: SolverState, view: int) -> np.ndarray:
+    """The U-step's input M = Z + Lam2/mu of the view, summed in place (the same
+    bits, as addition commutes), so it allocates one n x n array."""
+    M = state.Lam2[view] / state.mu
+    M += state.Z[view]
+    return M
+
+
 def submit_u(state: SolverState, config: SolverConfig, view: int,
-             pool: ThreadPoolExecutor | None = None) -> tuple[np.ndarray, SymmetricEigh | None]:
-    """The U-step's input M = Z + Lam2/mu and its first decomposition,
-    gram_eigh(M, hint) with the view's last clipped count as the hint, whose
-    LAPACK call, and nothing else, starts on ``pool`` when one is given. At
-    weight lambda2/mu = 0 there is no prox, and the decomposition is None."""
-    M = state.Z[view] + state.Lam2[view] / state.mu
+             pool: ThreadPoolExecutor | None = None) -> SymmetricEigh | None:
+    """The U-step's first decomposition, gram_eigh(M, hint) of M = u_input(...),
+    with the view's last clipped count as the hint (none before the view's first
+    prox, so it takes the top partial_k(n)), whose LAPACK call, and nothing
+    else, starts on ``pool`` when one is given. M is dropped on return: the
+    decomposition holds only M^T M and its buffers. At weight lambda2/mu = 0
+    there is no prox, and the decomposition is None."""
     if config.effective_lambda2 / state.mu == 0:
-        return M, None
-    first = gram_eigh(M, state.clipped.get(view))
+        return None
+    first = gram_eigh(u_input(state, view), state.clipped.get(view))
     if pool is not None:
         first.start(pool)
-    return M, first
+    return first
 
 
 def update_u(state: SolverState, config: SolverConfig, view: int,
-             started: tuple[np.ndarray, SymmetricEigh | None]) -> tuple[np.ndarray, float]:
+             started: SymmetricEigh | None) -> tuple[np.ndarray, float]:
     """Spectral-norm proximal step on M = Z + Lam2/mu at weight lambda2/mu: U and the
     objective's U term lambda2 * ||U||_2. At weight 0 it is the identity, with no prox.
-    ``started`` is submit_u's (M, first decomposition); the prox's clipped count
-    becomes the view's next hint."""
-    M, first = started
-    if first is None:
+    ``started`` is submit_u's first decomposition; M is formed again here by
+    u_input, with the same bits, as Z, Lam2 and mu do not change in between. The
+    prox's clipped count becomes the view's next hint."""
+    M = u_input(state, view)
+    if started is None:
         return M, 0.0
     U, norm, state.clipped[view] = prox_spectral_norm(M, config.effective_lambda2 / state.mu,
-                                                      first=first)
+                                                      first=started)
     return U, config.effective_lambda2 * norm
 
 
@@ -429,7 +443,10 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
     writes:
     - the U-step's decomposition of view v (submit_u, after Z_v) runs beside
       A_v, E_v, w_v and Z_{v+1}, whose decomposition is started before
-      update_u waits for view v's, so the worker goes on to it at once;
+      update_u waits for view v's, so the worker goes on to it at once. A
+      decomposition in flight holds only M^T M and its buffers: update_u
+      forms M again from Z_v, Lam2_v and mu, which no block in between
+      writes, so at most one view's M is alive;
     - the Q-step's decomposition (submit_q, after the last A-step, as the A's
       are its only input) runs beside the last view's E-, w-, U- and
       multiplier steps and the next iteration's first Z-step, as the next
@@ -468,7 +485,7 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
                     state.Z[v + 1] = update_z(state, dataset, v + 1)
                     upcoming = submit_u(state, config, v + 1, pool)
                 state.U[v], u_term = update_u(state, config, v, started)
-                started = upcoming  # frees view v's M and eigenvectors before the multipliers
+                started = upcoming  # frees view v's eigenvectors before the multipliers
                 view_terms[v] += u_term
                 lams, gaps[v] = update_multipliers(state, v, recon_gap)
                 state.Lam1[v], state.Lam2[v], state.Lam3[v] = lams

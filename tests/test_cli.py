@@ -7,7 +7,7 @@ import pytest
 
 from mvsc.cli import main
 from mvsc.metrics import compute_metrics
-from mvsc.prox_ops import gram_eigh
+from mvsc.prox_ops import gram_eigh, partial_k
 from mvsc.solver import SolverConfig
 
 MANIFEST_KEYS = {"config", "dataset", "labels", "weights", "metrics",
@@ -208,7 +208,7 @@ class TestCluster:
             traces.append(out.with_suffix(".trace.csv").read_bytes())
         assert manifests[0] == manifests[1]
         assert traces[0] == traces[1]
-        assert sum(h is not None and 4 * (h + 2) <= 150 for h in hints) > len(hints) // 2
+        assert sum(h is not None and h + 2 <= partial_k(150) for h in hints) > len(hints) // 2
 
     def test_bad_data_dir_fails(self, tmp_path):
         assert run("cluster", tmp_path / "missing", "--clusters", 3,

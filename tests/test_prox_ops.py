@@ -19,6 +19,7 @@ from mvsc.prox_ops import (
     _bundled,
     _project_rows_simplex_zero_diag,
     gram_eigh,
+    partial_k,
     prox_spectral_norm,
     soft_threshold,
 )
@@ -220,7 +221,7 @@ def hinted_prox(M, t, hint):
 
 
 class TestSpectralNormProxTopK:
-    """The hinted path, on matrices large enough for it to run (hint + 2 <= n/4)."""
+    """The hinted path, on matrices large enough for it to run (hint + 2 <= partial_k(n))."""
 
     def assert_matches(self, got, want):
         (U, norm, clipped), (U_ref, norm_ref, clipped_ref) = got, want
@@ -257,7 +258,7 @@ class TestSpectralNormProxTopK:
         M = low_rank_plus_noise(rng, (120, 120))
         t = float(np.linalg.svd(M, compute_uv=False)[0])
         kernel_calls["svd"] = 0
-        got = hinted_prox(M, t, 29)  # k = 31 > 120/4
+        got = hinted_prox(M, t, 29)  # k = 31 > partial_k(120)
         assert kernel_calls == {"svd": 0, "eigh": 1}
         no_hint = prox_spectral_norm(M, t)
         assert np.array_equal(got[0], no_hint[0]) and got[1:] == no_hint[1:]
@@ -355,12 +356,13 @@ class TestSymmetricEigh:
     @pytest.mark.parametrize("n", [1, 2, 90, 300])
     def test_gram_path_matches_scipy_eigh(self, n, rng):
         M = rng.standard_normal((n + 5, n))
-        # hint 0 gives k = 2 and hint 1 gives k = 3 where that is at most n/4,
-        # else k = n, as does no hint
-        for hint in (None, 0, 1):
-            k = n if hint is None or 4 * (hint + 2) > n else hint + 2
+        # no hint gives k = partial_k(n); hint 0 gives k = 2 and hint 1 gives
+        # k = 3 where that is at most partial_k(n), else k = n, as does full
+        limit = partial_k(n)
+        for hint, full in ((None, False), (0, False), (1, False), (None, True), (0, True)):
+            k = n if full else limit if hint is None else hint + 2 if hint + 2 <= limit else n
             want = scipy.linalg.eigh(M.T @ M, subset_by_index=(n - k, n - 1))
-            got = gram_eigh(M, hint)()
+            got = gram_eigh(M, hint, full=full)()
             assert got[0].size == k
             assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 

@@ -14,7 +14,7 @@ import mvsc.solver
 from mvsc import prox_ops
 from mvsc.data import MultiViewDataset, SynthSpec, ViewMatrix, generate_synthetic, normalize
 from mvsc.graph_ops import knn_affinity, laplacian
-from mvsc.prox_ops import BLAS_THREAD_VARIABLES, SymmetricEigh
+from mvsc.prox_ops import BLAS_THREAD_VARIABLES, SymmetricEigh, partial_k
 from mvsc.solver import (
     ClusteringResult,
     SolverConfig,
@@ -50,6 +50,16 @@ def small_problem(rng):
     config = SolverConfig(n_clusters=2, lambda1=0.3, lambda2=0.4, lambda3=0.6, seed=0, k_init=3)
     state = make_random_state(dataset, config, rng)
     return dataset, config, state
+
+
+def traced_peak(dataset: MultiViewDataset, config: SolverConfig) -> int:
+    """Peak bytes tracemalloc traced over one solve, which runs config.max_iter iterations."""
+    tracemalloc.start()
+    try:
+        assert solve(dataset, config).iterations == config.max_iter
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestConfig:
@@ -134,8 +144,8 @@ class TestInitialize:
         n = 10
         ds = make_random_dataset(n, (3, 14), rng)
         # state, E and Lam1, scratch of the widest view, fixed scratch
-        needed = (8 * n * ((5 * n + 3) + (5 * n + 10)) + 8 * n * (2 * (3 + 14) + 9 * n + 5 * 14)
-                  + 96 * 1024)
+        needed = (8 * n * ((5 * n + 3) + (5 * n + 10)) + 8 * n * (2 * (3 + 14) + 6 * n + 5 * 14)
+                  + 128 * 1024)
 
         def no_graph(*_):
             raise AssertionError("an n x n matrix was built before the memory check")
@@ -151,7 +161,7 @@ class TestInitialize:
     def test_dense_state_within_budget_or_unknown_runs(self, budget, rng, monkeypatch):
         ds = make_random_dataset(10, (3, 14), rng)
         needed = (8 * 10 * ((5 * 10 + 3) + (5 * 10 + 10))
-                  + 8 * 10 * (2 * (3 + 14) + 9 * 10 + 5 * 14) + 96 * 1024)
+                  + 8 * 10 * (2 * (3 + 14) + 6 * 10 + 5 * 14) + 128 * 1024)
         monkeypatch.setattr("mvsc.solver._memory_budget",
                             lambda: needed if budget == "exact" else None)
         assert initialize(ds, SolverConfig(n_clusters=2, k_init=3)).Q.shape == (10, 2)
@@ -181,13 +191,18 @@ class TestInitialize:
             solve(ds, cfg)
         figure = int(re.search(r"need (\d+) bytes", str(exc.value)).group(1))
         monkeypatch.setattr("mvsc.solver._memory_budget", lambda: None)
-        tracemalloc.start()
-        try:
-            assert solve(ds, cfg).iterations == 15
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= figure
+        assert traced_peak(ds, cfg) <= figure
+
+    def test_solve_peak_above_dense_state_at_n300(self):
+        # every U-step decomposition here is the top partial_k(n), and one in
+        # flight holds no M: a peak 4.5 n^2 values above the dense state
+        spec = SynthSpec(clusters=3, samples_per_cluster=100, view_dims=(10, 10, 10),
+                         noise_feature_counts=(0, 20, 0), seed=1)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        n = ds.n_samples
+        state = 8 * n * sum(5 * n + min(view.n_features, n) for view in ds.views)
+        peak = traced_peak(ds, SolverConfig(n_clusters=3, max_iter=5))
+        assert peak - state <= 8 * 5.5 * n * n
 
 
 class TestUpdateZ:
@@ -376,18 +391,13 @@ class TestUpdateU:
             delta /= np.linalg.norm(delta)
             assert base <= block_objective(U + 1e-3 * delta) + 1e-10
 
-    def test_without_hint_takes_full_spectrum(self, rng, monkeypatch):
-        ds = make_random_dataset(40, (3,), rng)
-        cfg = SolverConfig(n_clusters=2, lambda2=0.4, k_init=3)
-        state = make_random_state(ds, cfg, rng, mu=0.5)
-        assert state.clipped == {}
-        M = state.Z[0] + state.Lam2[0] / state.mu
-        P, s, Qt = np.linalg.svd(M, full_matrices=False)
-        shrink = project_l1_ball(s, cfg.lambda2 / state.mu)
-        U_full = (P * (s - shrink)) @ Qt
-
-        calls = []
+    def test_without_hint_takes_top_partial_k(self, rng, monkeypatch):
+        # a view's first U-step takes the top partial_k(n) eigenpairs, and the
+        # full spectrum only when the k-th value lies above the threshold
+        n = 40
+        k = partial_k(n)
         real_svd, real_eigh = np.linalg.svd, SymmetricEigh.__init__
+        calls = []
 
         def counted_svd(*args, **kwargs):
             calls.append(("svd", args[0].shape))
@@ -399,14 +409,28 @@ class TestUpdateU:
 
         monkeypatch.setattr("numpy.linalg.svd", counted_svd)
         monkeypatch.setattr(SymmetricEigh, "__init__", counted_eigh)
-        U, term = update_u(state, cfg, 0, submit_u(state, cfg, 0))
-        assert calls == [("eigh", (40, 40), (0, 39))]
-        assert np.abs(U - U_full).max() <= 1e-12 * np.abs(U_full).max()
-        assert term == pytest.approx(cfg.lambda2 * (s - shrink)[0], rel=1e-12)
-        assert state.clipped == {0: np.count_nonzero(shrink)}
+        for lambda2, misses in ((0.4, False), (10.0, True)):
+            ds = make_random_dataset(n, (3,), rng)
+            cfg = SolverConfig(n_clusters=2, lambda2=lambda2, k_init=3)
+            state = make_random_state(ds, cfg, rng, mu=0.5)
+            assert state.clipped == {}
+            M = state.Z[0] + state.Lam2[0] / state.mu
+            P, s, Qt = real_svd(M, full_matrices=False)
+            shrink = project_l1_ball(s, cfg.lambda2 / state.mu)
+            U_full = (P * (s - shrink)) @ Qt
+            # a miss: the k-th value clips, so it lies above the threshold
+            assert (np.count_nonzero(shrink) >= k) == misses
+
+            calls.clear()
+            U, term = update_u(state, cfg, 0, submit_u(state, cfg, 0))
+            full = [("eigh", (n, n), (0, n - 1))]
+            assert calls == [("eigh", (n, n), (n - k, n - 1))] + misses * full
+            assert np.abs(U - U_full).max() <= 1e-12 * np.abs(U_full).max()
+            assert term == pytest.approx(cfg.lambda2 * (s - shrink)[0], rel=1e-12)
+            assert state.clipped == {0: np.count_nonzero(shrink)}
 
     def test_solver_counts_match_full_spectrum(self, monkeypatch):
-        # n = 120: the first counts pass n/4, later ones take the top-k path
+        # n = 120: the first counts pass partial_k(n), later ones take the top-k path
         spec = SynthSpec(clusters=3, samples_per_cluster=40, view_dims=(4, 5), seed=2)
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
         n = ds.n_samples
@@ -421,7 +445,7 @@ class TestUpdateU:
             assert state.clipped[view] == np.count_nonzero(shrink)
             U_full = (P * (s - shrink)) @ Qt
             assert np.linalg.norm(U - U_full) <= 1e-9 * np.linalg.norm(U_full)
-            hinted.append(hint is not None and 4 * (hint + 2) <= n)
+            hinted.append(hint is not None and hint + 2 <= partial_k(n))
             return U, term
 
         monkeypatch.setattr("mvsc.solver.update_u", checked)
