@@ -83,18 +83,12 @@ def _apply_overrides(parser: argparse.ArgumentParser, file_values: dict[str, str
     argparse, so overrides are validated exactly like flag values. A
     required option becomes optional once an override supplies it.
     """
-    overrides = dict(file_values)
     for action in parser._actions:
         if not action.option_strings:
             continue
-        env = os.environ.get(ENV_PREFIX + action.dest.upper())
-        if env is not None:
-            overrides[action.dest] = env
-    for action in parser._actions:
-        if action.dest in overrides and action.option_strings:
-            action.required = False
-    known = {action.dest for action in parser._actions}
-    parser.set_defaults(**{k: v for k, v in overrides.items() if k in known})
+        value = os.environ.get(ENV_PREFIX + action.dest.upper(), file_values.get(action.dest))
+        if value is not None:
+            action.default, action.required = value, False
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:

@@ -92,14 +92,19 @@ class SymmetricEigh:
     passes to dsyevr, its default for this problem, workspace size included,
     so the bits are the same.
     ``a`` must be an F-contiguous float64 array: the call uses it as LAPACK's
-    work matrix and destroys its lower triangle. The constructor checks that
-    ``a`` is finite (ValueError otherwise, as eigh's check_finite), allocates
-    every buffer and sizes the workspace by LAPACK's query. Calling the object
-    runs LAPACK, with the GIL released, and returns ``(values, vectors)``;
-    after ``start(pool)`` LAPACK runs on the pool's thread instead, and
-    calling the object waits for it. Once the call has returned, the object
-    lets go of ``a``, whose contents LAPACK destroyed; it runs LAPACK once, so
-    a second call or ``start`` raises RuntimeError.
+    work matrix and destroys its lower triangle and diagonal. The constructor
+    checks that ``a`` is finite (ValueError otherwise, as eigh's check_finite),
+    saves its diagonal, allocates every buffer and sizes the workspace by
+    LAPACK's query. Calling the object runs LAPACK, with the GIL released, and
+    returns ``(values, vectors)``; after ``start(pool)`` LAPACK runs on the
+    pool's thread instead, and calling the object waits for it. Once the call
+    has returned, the object lets go of ``a``; it runs LAPACK once, so a
+    second call or ``start`` raises RuntimeError.
+
+    When dsyevr fails on a partial range (info > 0, which it does on some
+    degenerate small inputs), the call rebuilds ``a`` from its intact upper
+    triangle and the saved diagonal and reruns over the full range, on the
+    calling thread, returning columns lo..hi; LinAlgError only if that fails too.
     """
 
     def __init__(self, a: np.ndarray, lo: int, hi: int) -> None:
@@ -113,7 +118,7 @@ class SymmetricEigh:
         if not (np.isfinite(a.min()) and np.isfinite(a.max())):
             raise ValueError("array must not contain infs or NaNs")
         k = hi - lo + 1
-        self.a = a
+        self.a, self.diagonal = a, a.diagonal().copy()
         # the ILP64 integers n, lda, il, iu, m (out), ldz, lwork, liwork, info (out)
         self.ints = np.array([n, n, lo + 1, hi + 1, 0, n, -1, -1, 0], dtype=np.int64)
         self.reals = np.zeros(3)  # vl, vu (unused with range "I") and abstol = 0
@@ -154,14 +159,31 @@ class SymmetricEigh:
         else:
             self._future.result()
         # _args points into a: both go together, and only after LAPACK returned
-        self.a = self._args = None
+        a, self.a, self._args = self.a, None, None
         info = int(self.ints[8])
         if info < 0:
             raise ValueError(f"dsyevr: argument {-info} had an illegal value")
         if info > 0:
-            raise np.linalg.LinAlgError("dsyevr: internal error")
+            return self._rerun_full_range(a)
         m = int(self.ints[4])
         return self.w[:m], self.z[:, :m]
+
+    def _rerun_full_range(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """After a failed call: columns lo..hi of the full range of ``a``, rebuilt
+        from its upper triangle, which the call leaves intact, and the saved
+        diagonal. LinAlgError when the failed call already took the full range."""
+        n, lo, hi = a.shape[0], int(self.ints[2]) - 1, int(self.ints[3]) - 1
+        if hi - lo + 1 < n:
+            for j in range(n - 1):
+                a[j + 1:, j] = a[j, j + 1:]
+            np.fill_diagonal(a, self.diagonal)
+            try:
+                values, vectors = SymmetricEigh(a, 0, n - 1)()
+                return values[lo:hi + 1], vectors[:, lo:hi + 1]
+            except np.linalg.LinAlgError:
+                pass
+        raise np.linalg.LinAlgError(f"dsyevr failed on eigenpairs {lo}..{hi} of an n = {n} "
+                                    "matrix and on its full range")
 
 
 def _sort_threshold(u: np.ndarray, total: float) -> np.ndarray:
@@ -223,18 +245,18 @@ def partial_k(n: int) -> int:
     return max(n // 5, 1)
 
 
-def gram_eigh(M: np.ndarray, k_hint: int | None = None, full: bool = False) -> SymmetricEigh:
+def gram_eigh(M: np.ndarray, k_hint: int | None = None) -> SymmetricEigh:
     """The prox's decomposition of M, ready to run: G = M^T M, formed here
     in an F-ordered buffer, with the dsyevr call for its top k eigenpairs, where
     k = partial_k(n) (n is M's column count) with no hint, k = k_hint + 2 with
-    one, and k = n once that passes partial_k(n) or when ``full`` asks for the
-    full spectrum. The solver starts the call on a worker thread while the
-    view's A-, E- and w-steps run.
+    one, and k = n once that passes partial_k(n): the hint says how many values
+    may clip, so ``gram_eigh(M, n)`` takes the full spectrum. The solver starts
+    the call on a worker thread while the view's A-, E- and w-steps run.
     """
     n = M.shape[1]
     limit = partial_k(n)
     k = limit if k_hint is None else k_hint + 2
-    if full or k > limit:
+    if k > limit:
         k = n
     G = np.empty((n, n), order="F")
     np.matmul(M.T, M, out=G)
@@ -255,11 +277,11 @@ def prox_spectral_norm(M: np.ndarray, t: float,
 
     s and Q come from the k largest eigenpairs of G = M^T M, taken by
     ``first``, a ``gram_eigh(M, hint)`` possibly started on a worker thread
-    (the hint is typically the previous call's clipped count, and without one
-    k = partial_k(n)); without ``first``, from the full spectrum. theta from
-    the top k is exact once the k-th value is <= theta, since the rest then
-    lie below theta too; otherwise the full spectrum is taken, asked for
-    explicitly, so a prox makes at most two decompositions. Then
+    (the hint is typically the previous call's clipped count), or by
+    ``gram_eigh(M)``, the top partial_k(n), without it. theta from the top k
+    is exact once the k-th value is <= theta, since the rest then lie below
+    theta too; otherwise the full spectrum is taken, as ``gram_eigh(M, n)``,
+    so a prox makes at most two decompositions. Then
     U = M - (M Q_a) diag(1 - theta/s_a) Q_a^T over the clipped set a. Values
     taken as sqrt of G's eigenvalues are exact only to the rounding bound
     sqrt(n * eps) * s_1, so when theta is at or below it everything clips:
@@ -270,14 +292,14 @@ def prox_spectral_norm(M: np.ndarray, t: float,
         raise ValueError("t must be positive")
     M = np.asarray(M, dtype=float)
     n = M.shape[1]
-    decomposition = gram_eigh(M, full=True) if first is None else first
+    decomposition = gram_eigh(M) if first is None else first
     while True:
         lam, V = decomposition()
         s = np.sqrt(np.maximum(lam[::-1], 0.0))
         theta = _sort_threshold(s[None, :], t)[0]  # <= 0 iff the k values sum to <= t
         if s.size == n or s[-1] <= theta:
             break
-        decomposition = gram_eigh(M, full=True)
+        decomposition = gram_eigh(M, n)
     bound = np.sqrt(n * np.finfo(float).eps) * s[0]
     if theta <= bound:
         return np.zeros_like(M), 0.0, int(np.count_nonzero(s > bound))

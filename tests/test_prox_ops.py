@@ -1,4 +1,5 @@
 import ast
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -254,14 +255,29 @@ class TestSpectralNormProxTopK:
         self.assert_matches(hinted_prox(M, t, 0), want)
         assert kernel_calls == {"svd": 0, "eigh": 2}
 
-    def test_hint_past_quarter_takes_full_spectrum(self, rng, kernel_calls):
+    def test_hint_past_partial_k_takes_full_spectrum(self, rng, kernel_calls, monkeypatch):
+        ranges, real_init = [], SymmetricEigh.__init__
+
+        def recorded(self, a, lo, hi):
+            ranges.append((lo, hi))
+            real_init(self, a, lo, hi)
+
+        monkeypatch.setattr(SymmetricEigh, "__init__", recorded)
         M = low_rank_plus_noise(rng, (120, 120))
         t = float(np.linalg.svd(M, compute_uv=False)[0])
+        want = full_svd_prox(M, t)
+        assert want[2] + 2 <= partial_k(120)
         kernel_calls["svd"] = 0
         got = hinted_prox(M, t, 29)  # k = 31 > partial_k(120)
-        assert kernel_calls == {"svd": 0, "eigh": 1}
-        no_hint = prox_spectral_norm(M, t)
-        assert np.array_equal(got[0], no_hint[0]) and got[1:] == no_hint[1:]
+        assert kernel_calls == {"svd": 0, "eigh": 1} and ranges == [(0, 119)]
+        self.assert_matches(got, want)
+        # the prox's fallback, gram_eigh(M, n), is the same call
+        full = hinted_prox(M, t, 120)
+        assert np.array_equal(got[0], full[0]) and got[1:] == full[1:]
+        # without ``first``, the prox takes the top partial_k(n) as the solver does
+        ranges.clear()
+        self.assert_matches(prox_spectral_norm(M, t), want)
+        assert ranges == [(120 - partial_k(120), 119)]
 
     def test_t_at_least_nuclear_norm_gives_zero(self, rng):
         M = low_rank_plus_noise(rng, (120, 120))
@@ -357,12 +373,12 @@ class TestSymmetricEigh:
     def test_gram_path_matches_scipy_eigh(self, n, rng):
         M = rng.standard_normal((n + 5, n))
         # no hint gives k = partial_k(n); hint 0 gives k = 2 and hint 1 gives
-        # k = 3 where that is at most partial_k(n), else k = n, as does full
+        # k = 3 where that is at most partial_k(n), else k = n, as hint n always does
         limit = partial_k(n)
-        for hint, full in ((None, False), (0, False), (1, False), (None, True), (0, True)):
-            k = n if full else limit if hint is None else hint + 2 if hint + 2 <= limit else n
+        for hint in (None, 0, 1, n):
+            k = limit if hint is None else hint + 2 if hint + 2 <= limit else n
             want = scipy.linalg.eigh(M.T @ M, subset_by_index=(n - k, n - 1))
-            got = gram_eigh(M, hint, full=full)()
+            got = gram_eigh(M, hint)()
             assert got[0].size == k
             assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 
@@ -393,6 +409,43 @@ class TestSymmetricEigh:
                 decomposition()
             with pytest.raises(RuntimeError, match="already been started"):
                 decomposition.start(pool)
+
+    @pytest.mark.parametrize("started", [False, True])
+    def test_failed_partial_call_reruns_over_full_range(self, started, rng, monkeypatch):
+        # a failed dsyevr call (info > 0) leaves only a's upper triangle intact:
+        # here every partial call fails, and the full range runs on the rebuilt
+        # matrix, on the calling thread
+        real_lapack, threads = SymmetricEigh._lapack, []
+
+        def failing(self):
+            real_lapack(self)
+            n = self.a.shape[0]
+            threads.append(threading.get_ident())
+            if self.z.shape[1] < n:
+                self.ints[8] = 1
+                self.a[np.tril_indices(n)] = np.nan
+
+        monkeypatch.setattr(SymmetricEigh, "_lapack", failing)
+        a = symmetric_inputs(30, rng)["random"]
+        decomposition = SymmetricEigh(np.array(a, order="F"), 27, 29)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            if started:
+                decomposition.start(pool)
+            got = decomposition()
+        want = scipy.linalg.eigh(a)
+        assert np.allclose(got[0], want[0][27:]) and got[1].shape == (30, 3)
+        assert np.allclose(a @ got[1], got[1] * got[0])
+        assert np.allclose(got[1].T @ got[1], np.eye(3))
+        assert threads[1] == threading.get_ident() and len(threads) == 2
+
+    def test_failed_full_range_raises(self, rng, monkeypatch):
+        def failing(self):
+            self.ints[8] = 1
+
+        monkeypatch.setattr(SymmetricEigh, "_lapack", failing)
+        a = np.asfortranarray(symmetric_inputs(20, rng)["random"])
+        with pytest.raises(np.linalg.LinAlgError, match=r"eigenpairs 0\.\.2 of an n = 20 matrix"):
+            SymmetricEigh(a, 0, 2)()
 
     def test_repeated_calls_are_identical(self, rng):
         # every argument buffer must outlive the foreign call
@@ -463,7 +516,9 @@ class TestSingleOwner:
         assert _callers()["ThreadPoolExecutor"] == {"solver.solve"}
 
     def test_only_gram_eigh_and_smallest_eigvecs_build_a_decomposition(self):
-        assert _callers()["SymmetricEigh"] == {"prox_ops.gram_eigh", "spectral.smallest_eigvecs"}
+        # and the full-range rerun after a failed dsyevr call
+        assert _callers()["SymmetricEigh"] == {"prox_ops.gram_eigh", "spectral.smallest_eigvecs",
+                                               "prox_ops.SymmetricEigh._rerun_full_range"}
 
     def test_only_symmetric_eigh_calls_lapack(self):
         callers = _callers()["_dsyevr"]

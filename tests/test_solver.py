@@ -4,7 +4,7 @@ import re
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ import mvsc.solver
 from mvsc import prox_ops
 from mvsc.data import MultiViewDataset, SynthSpec, ViewMatrix, generate_synthetic, normalize
 from mvsc.graph_ops import knn_affinity, laplacian
+from mvsc.metrics import compute_metrics
 from mvsc.prox_ops import BLAS_THREAD_VARIABLES, SymmetricEigh, partial_k
 from mvsc.solver import (
     ClusteringResult,
@@ -712,6 +713,14 @@ class TestSolve:
         assert np.array_equal(r1.trace.r_a, r2.trace.r_a)
         assert np.array_equal(r1.trace.mu, r2.trace.mu)
 
+    def test_degenerate_tiny_set_converges(self):
+        # dsyevr fails (info > 0) on a Q-step's bottom three eigenpairs of this
+        # set's Laplacian, and the full-range rerun answers it
+        spec = SynthSpec(clusters=3, samples_per_cluster=2, view_dims=(4, 5), seed=3)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        result = solve(ds, SolverConfig(n_clusters=3))
+        assert result.converged and compute_metrics(ds.labels, result.labels).acc == 1.0
+
     def test_trace_csv_round_trips(self, tmp_path):
         spec = SynthSpec(clusters=2, samples_per_cluster=6, view_dims=(3, 4), seed=4)
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
@@ -1012,3 +1021,50 @@ class TestSchedule:
         assert len(q_threads) == 1 + threaded.iterations and q_threads[0] == caller
         assert caller not in q_threads[1:]
         assert threaded.iterations > 1 and same_bits(threaded, inline)
+
+    @staticmethod
+    def three_view_problem():
+        spec = SynthSpec(clusters=3, samples_per_cluster=10, view_dims=(4, 5, 3), seed=4)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        return ds, SolverConfig(n_clusters=3, max_iter=4)
+
+    def test_worker_runs_only_lapack_calls(self, monkeypatch):
+        # the worker gets dsyevr alone; the rest of a decomposition stays on the
+        # calling thread, where it was faster at n = 90
+        submitted = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append((fn, args, kwargs))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(mvsc.solver, "ThreadPoolExecutor", Recording)
+        ds, cfg = self.three_view_problem()
+        result = solve(ds, cfg)
+        # each iteration starts three U-steps and one Q-step
+        assert len(submitted) == 4 * result.iterations == 16
+        assert all(getattr(fn, "__func__", None) is SymmetricEigh._lapack
+                   and isinstance(fn.__self__, SymmetricEigh) and args == () and kwargs == {}
+                   for fn, args, kwargs in submitted)
+
+    def test_next_view_starts_before_the_wait(self, monkeypatch):
+        # view v + 1's decomposition is queued before update_u waits for view v's,
+        # so the worker goes on to it at once
+        events = []
+        real_submit, real_update = mvsc.solver.submit_u, mvsc.solver.update_u
+
+        def submitted(state, config, view, pool=None):
+            events.append(("submit_u", view))
+            return real_submit(state, config, view, pool)
+
+        def updated(state, config, view, started):
+            events.append(("update_u", view))
+            return real_update(state, config, view, started)
+
+        monkeypatch.setattr(mvsc.solver, "submit_u", submitted)
+        monkeypatch.setattr(mvsc.solver, "update_u", updated)
+        ds, cfg = self.three_view_problem()
+        result = solve(ds, cfg)
+        iteration = [("submit_u", 0), ("submit_u", 1), ("update_u", 0),
+                     ("submit_u", 2), ("update_u", 1), ("update_u", 2)]
+        assert result.iterations == 4 and events == iteration * 4
