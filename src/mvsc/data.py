@@ -71,7 +71,10 @@ class MultiViewDataset:
         if not views:
             raise ValueError("dataset needs at least one view")
         n = views[0].n_samples
-        for v in views:
+        for position, v in enumerate(views):
+            if v.view_index != position:  # save_dataset names view files by it
+                raise ValueError(f"view at position {position} has view_index "
+                                 f"{v.view_index}; views must be indexed 0, 1, ... in order")
             if v.n_samples != n:
                 raise ValueError(
                     f"view {v.view_index} has {v.n_samples} samples, expected {n}"

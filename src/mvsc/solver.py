@@ -15,7 +15,6 @@ blocks that do not wait for them (see ``solve``).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -249,7 +248,7 @@ def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
         Lam2.append(np.zeros((n, n)))
         Lam3.append(np.zeros((n, n)))
         w.append(np.full(view.n_features, 1.0 / view.n_features))
-    _, Q = submit_q(A, config.n_clusters)()
+    Q, _ = update_q(submit_q(A, config.n_clusters))
 
     return SolverState(Z=Z, A=A, U=U, E=E, Lam1=Lam1, Lam2=Lam2, Lam3=Lam3,
                        w=w, Q=Q, mu=config.mu0, z_factor=z_step_factors(dataset))
@@ -292,22 +291,32 @@ def update_a(state: SolverState, dataset: MultiViewDataset, config: SolverConfig
     return _project_rows_simplex_zero_diag(D)
 
 
-def submit_q(graphs: list[np.ndarray], c: int,
-             pool: ThreadPoolExecutor | None = None) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
-    """The Q-step's input, the Laplacian of the summed graphs (L is linear in the
-    graph, so it is the sum of their Laplacians), formed here, and its
-    decomposition for the c bottom eigenpairs: smallest_eigvecs' function that
-    returns them, whose LAPACK call, and nothing else, starts on ``pool`` when
-    one is given."""
-    return smallest_eigvecs(laplacian(sum(graphs)), c, pool)
+def submit_q(graphs: list[np.ndarray], c: int) -> SymmetricEigh:
+    """The Q-step's decomposition, ready to run: the c bottom eigenpairs of the
+    Laplacian of the summed graphs (L is linear in the graph, so it is the sum
+    of their Laplacians), formed here, as smallest_eigvecs returns it."""
+    return smallest_eigvecs(laplacian(sum(graphs)), c)
 
 
-def update_q(started: Callable[[], tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, float]:
+def _fix_signs(Q: np.ndarray) -> np.ndarray:
+    """Flip each column so its largest-magnitude entry is positive.
+
+    argmax takes the first maximal index, so magnitude ties resolve to the
+    lowest sample index; this pins down the sign ambiguity of eigenvectors.
+    """
+    idx = np.argmax(np.abs(Q), axis=0)
+    signs = np.sign(Q[idx, np.arange(Q.shape[1])])
+    signs[signs == 0] = 1.0
+    return Q * signs
+
+
+def update_q(decomposition: SymmetricEigh) -> tuple[np.ndarray, float]:
     """Shared embedding: the c bottom eigenvectors of the summed graph Laplacians,
-    and the sum of their c eigenvalues, sum_v tr(Q^T L(A_v) Q) at the returned Q,
-    from ``started``, submit_q's function, which waits for its LAPACK call."""
-    values, Q = started()
-    return Q, float(values.sum())
+    each column's largest-magnitude entry positive, and the sum of their c
+    eigenvalues, sum_v tr(Q^T L(A_v) Q) at the returned Q, from submit_q's
+    ``decomposition``, which runs or waits for its LAPACK call here."""
+    values, Q = decomposition()
+    return _fix_signs(Q), float(values.sum())
 
 
 def u_input(state: SolverState, view: int) -> np.ndarray:
@@ -318,20 +327,15 @@ def u_input(state: SolverState, view: int) -> np.ndarray:
     return M
 
 
-def submit_u(state: SolverState, config: SolverConfig, view: int,
-             pool: ThreadPoolExecutor | None = None) -> SymmetricEigh | None:
-    """The U-step's first decomposition, gram_eigh(M, hint) of M = u_input(...),
-    with the view's last clipped count as the hint (none before the view's first
-    prox, so it takes the top partial_k(n)), whose LAPACK call, and nothing
-    else, starts on ``pool`` when one is given. M is dropped on return: the
-    decomposition holds only M^T M and its buffers. At weight lambda2/mu = 0
-    there is no prox, and the decomposition is None."""
+def submit_u(state: SolverState, config: SolverConfig, view: int) -> SymmetricEigh | None:
+    """The U-step's first decomposition, ready to run: gram_eigh(M, hint) of
+    M = u_input(...), with the view's last clipped count as the hint (none before
+    the view's first prox, so it takes the top partial_k(n)). M is dropped on
+    return: the decomposition holds only M^T M and its buffers. At weight
+    lambda2/mu = 0 there is no prox, and the decomposition is None."""
     if config.effective_lambda2 / state.mu == 0:
         return None
-    first = gram_eigh(u_input(state, view), state.clipped.get(view))
-    if pool is not None:
-        first.start(pool)
-    return first
+    return gram_eigh(u_input(state, view), state.clipped.get(view))
 
 
 def update_u(state: SolverState, config: SolverConfig, view: int,
@@ -438,7 +442,9 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
 
     The work runs in two lanes, with the same bits as that order. The calling
     thread runs every numpy step and makes every allocation; one worker thread
-    runs only LAPACK calls, in the order they were started. Each block is
+    runs only LAPACK calls, in the order they were started. submit_u and
+    submit_q return their decompositions ready to run, and only solve starts
+    each one's dsyevr call on the worker (``on_worker``). Each block is
     moved only past blocks that neither read nor write what it reads or
     writes:
     - the U-step's decomposition of view v (submit_u, after Z_v) runs beside
@@ -464,6 +470,11 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
     view_terms, gaps = [0.0] * state.n_views, [None] * state.n_views
     q_step, row_tail = None, ()  # the Q-step in flight and its iteration's gaps and mu
 
+    def on_worker(decomposition: SymmetricEigh | None) -> SymmetricEigh | None:
+        if decomposition is not None:  # submit_u's None at weight 0 has no LAPACK call
+            decomposition.start(pool)
+        return decomposition
+
     def close_iteration() -> None:
         state.Q, eig_sum = update_q(q_step)
         rows.append((evaluate_objective(state, config, view_terms, eig_sum), *row_tail))
@@ -471,19 +482,19 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
     with ThreadPoolExecutor(max_workers=1) as pool:
         for _ in range(config.max_iter):
             state.Z[0] = update_z(state, dataset, 0)
-            started = submit_u(state, config, 0, pool)
+            started = on_worker(submit_u(state, config, 0))
             if q_step is not None:
                 close_iteration()
             for v in range(state.n_views):
                 state.A[v] = update_a(state, dataset, config, v)
                 if v == last:
-                    q_step = submit_q(state.A, config.n_clusters, pool)
+                    q_step = on_worker(submit_q(state.A, config.n_clusters))
                 state.E[v], recon_gap = update_e(state, dataset, config, v)
                 state.w[v], view_terms[v] = update_w(state, dataset, config, v)
                 upcoming = None
                 if v < last:
                     state.Z[v + 1] = update_z(state, dataset, v + 1)
-                    upcoming = submit_u(state, config, v + 1, pool)
+                    upcoming = on_worker(submit_u(state, config, v + 1))
                 state.U[v], u_term = update_u(state, config, v, started)
                 started = upcoming  # frees view v's eigenvectors before the multipliers
                 view_terms[v] += u_term

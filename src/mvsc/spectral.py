@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .data import MultiViewDataset
@@ -15,41 +13,18 @@ LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-9  # stop once inertia falls by at most this fraction
 
 
-def _fix_signs(Q: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive.
-
-    argmax takes the first maximal index, so magnitude ties resolve to the
-    lowest sample index; this pins down the sign ambiguity of eigenvectors.
-    """
-    idx = np.argmax(np.abs(Q), axis=0)
-    signs = np.sign(Q[idx, np.arange(Q.shape[1])])
-    signs[signs == 0] = 1.0
-    return Q * signs
-
-
-def _signed(decomposition: SymmetricEigh) -> tuple[np.ndarray, np.ndarray]:
-    values, Q = decomposition()
-    return values, _fix_signs(Q)
-
-
-def smallest_eigvecs(L: np.ndarray, c: int, pool=None):
-    """A function of no arguments that returns the c smallest eigenvalues of L,
-    ascending, and their orthonormal eigenvectors as ``(values, Q)``, from one
-    dsyevr call on an F-ordered copy of L's lower triangle, so the caller's L is
-    left intact.
-
-    The copy and the checks are made here. The dsyevr call, and nothing else,
-    starts on the ``pool``'s thread when one is given, and the returned function
-    waits for it; without a pool, the call runs when the function is called.
+def smallest_eigvecs(L: np.ndarray, c: int) -> SymmetricEigh:
+    """The decomposition, ready to run, for the c smallest eigenvalues of L,
+    ascending, and their orthonormal eigenvectors: calling it returns
+    ``(values, Q)``. Its one dsyevr call works on an F-ordered copy of L's lower
+    triangle, made here with the checks, so the caller's L is left intact. The
+    columns carry LAPACK's signs; the solver's Q-step fixes them (``update_q``).
     """
     L = np.array(L, dtype=float, order="F")
     n = L.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"c must be in [1, {n}], got {c}")
-    decomposition = SymmetricEigh(L, 0, c - 1)
-    if pool is not None:
-        decomposition.start(pool)
-    return functools.partial(_signed, decomposition)
+    return SymmetricEigh(L, 0, c - 1)
 
 
 def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

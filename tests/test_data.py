@@ -198,6 +198,15 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             MultiViewDataset(views=(v1, v2))
 
+    @pytest.mark.parametrize("indices", [(0, 0), (5,), (1, 0)])
+    def test_dataset_rejects_view_index_off_its_position(self, indices, rng):
+        # save_dataset names view files by view_index: (0, 0) would write one
+        # view_1.csv for two views, and (5,) a view_6.csv that no load accepts
+        views = tuple(ViewMatrix(rng.standard_normal((3 + i, 4)), index)
+                      for i, index in enumerate(indices))
+        with pytest.raises(ValueError, match="view_index"):
+            MultiViewDataset(views=views)
+
     def test_dataset_rejects_bad_label_length(self, rng):
         v1 = ViewMatrix(rng.standard_normal((2, 4)), 0)
         with pytest.raises(ValueError):

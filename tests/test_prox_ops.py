@@ -515,6 +515,13 @@ class TestSingleOwner:
     def test_only_solve_starts_a_worker(self):
         assert _callers()["ThreadPoolExecutor"] == {"solver.solve"}
 
+    def test_only_solve_starts_a_decomposition(self):
+        # submit_u, submit_q and smallest_eigvecs return decompositions ready to
+        # run; solve alone decides which LAPACK calls go to its worker
+        scopes = _callers()["start"]
+        assert scopes and all(scope == "solver.solve" or scope.startswith("solver.solve.")
+                              for scope in scopes)
+
     def test_only_gram_eigh_and_smallest_eigvecs_build_a_decomposition(self):
         # and the full-range rerun after a failed dsyevr call
         assert _callers()["SymmetricEigh"] == {"prox_ops.gram_eigh", "spectral.smallest_eigvecs",

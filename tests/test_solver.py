@@ -206,6 +206,31 @@ class TestInitialize:
         assert peak - state <= 8 * 5.5 * n * n
 
 
+class TestMemoryBudget:
+    # MemAvailable is read in KiB, so a budget from it is a multiple of 1024;
+    # the limits below are not, and are far below any machine's MemAvailable
+    @staticmethod
+    def budget(monkeypatch, tmp_path, contents):
+        paths = []
+        for i, text in enumerate(contents):
+            paths.append(tmp_path / f"limit_{i}")
+            if text is not None:  # None: a path that does not exist
+                paths[-1].write_text(text, encoding="ascii")
+        monkeypatch.setattr(mvsc.solver, "_MEMORY_LIMIT_FILES", tuple(map(str, paths)))
+        return mvsc.solver._memory_budget()
+
+    def test_a_file_holding_max_is_skipped(self, monkeypatch, tmp_path):
+        available = self.budget(monkeypatch, tmp_path, ["max\n"])
+        assert available is not None and available > 0 and available % 1024 == 0
+        assert self.budget(monkeypatch, tmp_path, ["max\n", "5000\n"]) == 5000
+
+    def test_a_limit_below_mem_available_is_returned(self, monkeypatch, tmp_path):
+        assert self.budget(monkeypatch, tmp_path, ["5000\n"]) == 5000
+
+    def test_a_missing_path_is_skipped(self, monkeypatch, tmp_path):
+        assert self.budget(monkeypatch, tmp_path, [None, "7000\n"]) == 7000
+
+
 class TestUpdateZ:
     def test_zero_data_averages_pulls(self, rng):
         n = 6
@@ -1053,9 +1078,9 @@ class TestSchedule:
         events = []
         real_submit, real_update = mvsc.solver.submit_u, mvsc.solver.update_u
 
-        def submitted(state, config, view, pool=None):
+        def submitted(state, config, view):
             events.append(("submit_u", view))
-            return real_submit(state, config, view, pool)
+            return real_submit(state, config, view)
 
         def updated(state, config, view, started):
             events.append(("update_u", view))

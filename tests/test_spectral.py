@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mvsc.data import MultiViewDataset, ViewMatrix
+from mvsc.data import MultiViewDataset, SynthSpec, ViewMatrix, generate_synthetic, normalize
 from mvsc.graph_ops import gaussian_affinity, laplacian
 from mvsc.metrics import ari
 from mvsc.prox_ops import SymmetricEigh
+from mvsc.solver import SolverConfig, solve, update_q
 from mvsc.spectral import _plusplus_init, kmeans, lloyd, ncut_baseline, smallest_eigvecs
 
 
@@ -45,12 +46,22 @@ class TestSmallestEigvecs:
         assert np.trace(Q.T @ L @ Q) == pytest.approx(want, abs=1e-8)
 
     def test_deterministic_sign_convention(self, rng):
+        # smallest_eigvecs returns LAPACK's signs, the same on every call; the
+        # solver's Q-step, initialize's included, makes each column's
+        # largest-magnitude entry positive
+        def signs_fixed(Q):
+            return np.all(Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])] > 0)
+
         L = laplacian(rng.uniform(0, 1, size=(7, 7)))
         _, Q1 = smallest_eigvecs(L, 3)()
         _, Q2 = smallest_eigvecs(L.copy(), 3)()
         assert np.array_equal(Q1, Q2)
-        idx = np.argmax(np.abs(Q1), axis=0)
-        assert np.all(Q1[idx, np.arange(3)] > 0)
+        Q, _ = update_q(smallest_eigvecs(L, 3))
+        assert signs_fixed(Q) and np.array_equal(np.abs(Q), np.abs(Q1))
+        spec = SynthSpec(clusters=3, samples_per_cluster=8, view_dims=(4, 5), seed=3)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        for max_iter in (0, 3):
+            assert signs_fixed(solve(ds, SolverConfig(n_clusters=3, max_iter=max_iter)).Q)
 
     def test_input_left_intact(self, rng):
         B = rng.standard_normal((30, 30))
