@@ -201,7 +201,8 @@ def load_dataset(directory_path: str | Path) -> MultiViewDataset:
     """Load ``view_1.csv .. view_k.csv`` (and ``labels.csv`` if present).
 
     CSV rows are samples; views are transposed to the internal d_v x n
-    layout. All views must agree on the sample count.
+    layout. All views must agree on the sample count. A name save_dataset does
+    not write, such as ``view_02.csv``, is refused: it could not be written back.
     """
     directory = Path(directory_path)
     if not directory.is_dir():
@@ -212,6 +213,9 @@ def load_dataset(directory_path: str | Path) -> MultiViewDataset:
         for p in directory.iterdir()
         if (m := _VIEW_FILE.match(p.name))
     )
+    for idx, path in indexed:
+        if path.name != f"view_{idx}.csv":  # the only name save_dataset writes for view idx
+            raise DatasetFormatError(f"{path}: view files are named view_{idx}.csv")
     if not indexed:
         raise DatasetFormatError(f"{directory}: no view_<i>.csv files found")
     expected = list(range(1, len(indexed) + 1))

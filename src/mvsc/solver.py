@@ -275,19 +275,17 @@ def update_z(state: SolverState, dataset: MultiViewDataset, view: int) -> np.nda
 
 def update_a(state: SolverState, dataset: MultiViewDataset, config: SolverConfig,
              view: int) -> np.ndarray:
-    """Row-wise simplex projection combining weighted feature distances,
-    embedding distances, and the penalty pull toward Z + Lam3/mu."""
-    mu = state.mu
-    D = graph_cost(dataset.views[view].values, state.w[view], state.Q, config.lambda1)
-    # D - mu (Z + Lam3/mu), then -D/mu, in place: the same bits, one scratch matrix
-    pull = state.Lam3[view] / mu
-    pull += state.Z[view]
-    pull *= mu
-    D -= pull
-    del pull
-    np.negative(D, out=D)
-    D /= mu
-    # row i: simplex projection of -d_i / mu with a_ii pinned to 0
+    """Row-wise simplex projection, a_ii pinned to 0, of Z + (Lam3 - D)/mu, where the
+    edge cost D_ij = sum_k w_k^2 (x_ki - x_kj)^2 + lambda1 ||q_i - q_j||^2 is what
+    sum(D * A), the distance plus embedding term, charges for A. The projection's
+    input is built in D's own buffer, with no second n x n array."""
+    X, Q = dataset.views[view].values, state.Q
+    # one weighted distance matrix over X stacked on Q^T, whose rows take weight sqrt(lambda1)
+    weights = np.concatenate([state.w[view], np.full(Q.shape[1], np.sqrt(config.lambda1))])
+    D = weighted_sq_distances(np.vstack([X, Q.T]), weights)
+    np.subtract(state.Lam3[view], D, out=D)
+    D /= state.mu
+    D += state.Z[view]
     return _project_rows_simplex_zero_diag(D)
 
 
@@ -373,24 +371,20 @@ def update_w(state: SolverState, dataset: MultiViewDataset, config: SolverConfig
     w_k proportional to 1/y_k; a constant feature gets weight 0, and a view
     of constant features only keeps its weights. The distance term is
     2 sum_k w_k^2 y_k, so the ablation modes, which freeze w, still compute y.
+    L_A is not formed: y = (Y o Y) deg - rowsum((Y A) o Y), deg the mean of A's
+    column and row sums, Y the feature rows centered, which as L_A 1 = 0 leaves
+    y unchanged and keeps a large offset from cancelling digits.
     """
-    X = dataset.views[view].values
-    y = ((X @ laplacian(state.A[view])) * X).sum(axis=1)
+    X, A = dataset.views[view].values, state.A[view]
+    Y = X - X.mean(axis=1, keepdims=True)
+    deg = 0.5 * (A.sum(axis=0) + A.sum(axis=1))
+    y = (Y * Y) @ deg - ((Y @ A) * Y).sum(axis=1)
     w = state.w[view]
     varies = np.ptp(X, axis=1) > 0
     if config.learn_weights and varies.any():
         inv = np.where(varies, 1.0 / np.maximum(y, 1e-12), 0.0)
         w = inv / inv.sum()
     return w, 2.0 * float((w * w) @ y)
-
-
-def graph_cost(X: np.ndarray, w: np.ndarray, Q: np.ndarray, lambda1: float) -> np.ndarray:
-    """Edge costs of the graph terms: weighted feature distances plus lambda1
-    times embedding distances, as one weighted distance matrix over X stacked
-    on Q^T, whose rows take weight sqrt(lambda1): sum(graph_cost * A) is the
-    distance plus embedding term that update_a minimizes."""
-    weights = np.concatenate([w, np.full(Q.shape[1], np.sqrt(lambda1))])
-    return weighted_sq_distances(np.vstack([X, Q.T]), weights)
 
 
 def _max_abs(M: np.ndarray) -> float:

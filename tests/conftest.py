@@ -20,13 +20,13 @@ def rng():
 
 @pytest.fixture
 def fresh_python():
-    """Run ``python -c code *args`` in a fresh interpreter that imports this mvsc."""
+    """Run ``python *argv`` in a fresh interpreter that imports this mvsc."""
     src = str(Path(mvsc.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
-    def run(code: str, *args) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+    def run(*argv) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *map(str, argv)], env=env,
                               capture_output=True, text=True)
 
     return run

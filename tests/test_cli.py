@@ -73,7 +73,7 @@ sys.exit(main(sys.argv[1:]))
 def test_cluster_runs_without_scipy(synth_dir, tmp_path, fresh_python):
     # scipy is a test-only dependency: a whole cluster run must not import it
     out = tmp_path / "run.json"
-    done = fresh_python(WITHOUT_SCIPY, "cluster", synth_dir, "--clusters", 3,
+    done = fresh_python("-c", WITHOUT_SCIPY, "cluster", synth_dir, "--clusters", 3,
                         "--normalize", "unit_l2_per_sample", "-o", out)
     assert done.returncode == 0, done.stderr
     manifest = read_json(out)
@@ -364,6 +364,14 @@ class TestEval:
         want = compute_metrics(truth, pred)
         assert got["acc"] == pytest.approx(round(100 * want.acc, 4))
         assert got["ari"] == pytest.approx(round(100 * want.ari, 4))
+
+    def test_runs_as_a_module(self, synth_dir, fresh_python):
+        # python -m mvsc runs the CLI and exits with its status
+        labels = synth_dir / "labels.csv"
+        done = fresh_python("-m", "mvsc", "eval", labels, labels)
+        assert done.returncode == 0, done.stderr
+        metrics = json.loads(done.stdout)["metrics"]
+        assert metrics["acc"] == metrics["nmi"] == 100.0
 
     def test_bad_label_file(self, tmp_path):
         bad = tmp_path / "bad.csv"

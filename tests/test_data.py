@@ -49,6 +49,14 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match="contiguous"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("name", ["view_02.csv", "view_002.csv"])
+    def test_zero_padded_name_rejected(self, tmp_path, name):
+        # save_dataset writes view_<k>.csv, and refuses a directory holding another name
+        write_csv(tmp_path / "view_1.csv", [[1], [2]])
+        write_csv(tmp_path / name, [[1], [2]])
+        with pytest.raises(DatasetFormatError, match=name):
+            load_dataset(tmp_path)
+
     def test_ragged_row_reports_line(self, tmp_path):
         (tmp_path / "view_1.csv").write_text("1,2\n3\n")
         with pytest.raises(DatasetFormatError, match=r"view_1\.csv:2"):

@@ -45,7 +45,7 @@ def test_import_skips_scipy_optimize(fresh_python):
     # OpenBLAS, so no run pays for importing scipy.optimize, or any scipy module
     code = ("import sys, mvsc, mvsc.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    done = fresh_python(code)
+    done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 

@@ -447,6 +447,15 @@ class TestSymmetricEigh:
         with pytest.raises(np.linalg.LinAlgError, match=r"eigenpairs 0\.\.2 of an n = 20 matrix"):
             SymmetricEigh(a, 0, 2)()
 
+    def test_illegal_argument_raises(self, rng, monkeypatch):
+        def illegal(self):
+            self.ints[8] = -3
+
+        monkeypatch.setattr(SymmetricEigh, "_lapack", illegal)
+        a = np.asfortranarray(symmetric_inputs(20, rng)["random"])
+        with pytest.raises(ValueError, match="argument 3 had an illegal value"):
+            SymmetricEigh(a, 0, 2)()
+
     def test_repeated_calls_are_identical(self, rng):
         # every argument buffer must outlive the foreign call
         a = symmetric_inputs(120, rng)["random"]
@@ -542,6 +551,10 @@ class TestSingleOwner:
             for call in ast.walk(node) if isinstance(call, ast.Call))}
         callers = _callers()["smallest_eigvecs"]
         assert sums & callers == {"solver.submit_q"}
+
+    def test_only_the_q_step_forms_a_laplacian_in_the_solver(self):
+        # the w-step reads each feature's graph energy off A itself
+        assert {s for s in _callers()["laplacian"] if s.startswith("solver.")} == {"solver.submit_q"}
 
     def test_smallest_eigvecs_has_one_return(self):
         node = dict(_functions())["spectral.smallest_eigvecs"]

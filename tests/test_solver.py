@@ -230,6 +230,16 @@ class TestMemoryBudget:
     def test_a_missing_path_is_skipped(self, monkeypatch, tmp_path):
         assert self.budget(monkeypatch, tmp_path, [None, "7000\n"]) == 7000
 
+    def test_without_meminfo_only_the_limit_files_count(self, monkeypatch, tmp_path):
+        def no_meminfo(path, *args, **kwargs):
+            if path == "/proc/meminfo":
+                raise OSError(f"{path} is not readable")
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(mvsc.solver, "open", no_meminfo, raising=False)
+        assert self.budget(monkeypatch, tmp_path, [None, "max\n"]) is None
+        assert self.budget(monkeypatch, tmp_path, ["5000\n"]) == 5000
+
 
 class TestUpdateZ:
     def test_zero_data_averages_pulls(self, rng):
@@ -549,6 +559,18 @@ class TestUpdateW:
         )
         assert np.abs(w - res.x).max() <= 1e-6
 
+    def test_feature_offsets_leave_weights_unchanged(self, rng):
+        # y_k = [X L(A) X^T]_kk does not change when feature k is shifted, as
+        # L(A) 1 = 0, so a large offset on raw data must cost no digits
+        ds = make_random_dataset(90, (30,), rng)
+        cfg = SolverConfig(n_clusters=2, k_init=2)
+        state = make_random_state(ds, cfg, rng)
+        X = ds.views[0].values
+        offsets = 1e6 * rng.uniform(0.5, 2.0, size=(30, 1))
+        shifted = MultiViewDataset(views=(ViewMatrix(X + offsets, 0),))
+        want, got = update_w(state, ds, cfg, 0)[0], update_w(state, shifted, cfg, 0)[0]
+        assert np.abs(got / want - 1.0).max() <= 1e-8
+
     @pytest.mark.parametrize("value", [0.0, 0.7])
     def test_constant_feature_gets_zero_weight(self, small_problem, value):
         ds, cfg, state = small_problem
@@ -830,23 +852,31 @@ class TestSolve:
         n, iterations = ds.n_samples, 5
         graph_callers, matmul_callers = [], []
 
-        def counted(*args, _real=mvsc.solver.graph_cost):
+        def counted(*args, _real=mvsc.solver.weighted_sq_distances):
             graph_callers.append(sys._getframe(1).f_code.co_name)
             return _real(*args)
 
-        monkeypatch.setattr(mvsc.solver, "graph_cost", counted)
+        monkeypatch.setattr(mvsc.solver, "weighted_sq_distances", counted)
 
         class CountedView(np.ndarray):
             # records the caller of every matmul whose left operand is a view
-            # matrix itself (not X^T), and computes on plain arrays
+            # matrix itself (not X^T) or one with its feature rows centered
+            # (X minus a d x 1 column), and computes on plain arrays
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                if ufunc is np.matmul and any(inputs[0] is view.values for view in ds.views):
+                if ufunc is np.matmul and any(inputs[0] is x for x in features):
                     matmul_callers.append(sys._getframe(1).f_code.co_name)
+                is_view = any(inputs[0] is view.values for view in ds.views)
                 inputs = [x.view(np.ndarray) if isinstance(x, CountedView) else x for x in inputs]
-                return getattr(ufunc, method)(*inputs, **kwargs)
+                out = getattr(ufunc, method)(*inputs, **kwargs)
+                if (ufunc is np.subtract and method == "__call__" and is_view
+                        and np.shape(inputs[1]) == (inputs[0].shape[0], 1)):
+                    out = out.view(CountedView)
+                    features.append(out)
+                return out
 
         for view in ds.views:
             object.__setattr__(view, "values", view.values.view(CountedView))
+        features = [view.values for view in ds.views]
         peaks = []
 
         def measured(*args):
@@ -861,7 +891,8 @@ class TestSolve:
         result = solve(ds, SolverConfig(n_clusters=3, max_iter=iterations))
         assert result.iterations == iterations
         assert graph_callers == ["update_a"] * (ds.n_views * iterations)
-        # X Z in the E-step and X L(A) in the w-step; the multipliers reuse the E-step's gap
+        # X Z in the E-step and Y A, Y the centered X, in the w-step; the multipliers
+        # reuse the E-step's gap
         assert matmul_callers == ["update_e", "update_w"] * (ds.n_views * iterations)
         # the objective allocates no n x n array
         assert len(peaks) == iterations and max(peaks) < 8 * n * n
