@@ -15,6 +15,7 @@ blocks that do not wait for them (see ``solve``).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -97,6 +98,8 @@ class SolverState:
     only on the data, never on iterates, and no n x n inverse is stored.
     ``clipped`` maps a view to how many singular values its last U-step
     prox clipped, the next prox's hint; a view has no entry before its first.
+    Inside ``solve`` an entry of Z, A or U is None between its last read and
+    its next write, and Lam2 and Lam3 are stepped in place.
     """
 
     Z: list[np.ndarray]
@@ -166,12 +169,42 @@ def z_step_factors(dataset: MultiViewDataset) -> list[np.ndarray]:
     return factors
 
 
-_MEMORY_LIMIT_FILES = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _memory_limit_files() -> set[str]:
+    """The memory-limit files of the process's own cgroup and of each of its
+    ancestors up to the root: ``memory.max`` under the root for cgroup v2 (the
+    ``0::path`` line of /proc/self/cgroup) and ``memory.limit_in_bytes`` under
+    ``memory/`` for v1 (the line that lists the memory controller). The roots'
+    files are always included; any file may be missing."""
+    hierarchies = [("", "/"), ("memory", "/")]  # (mount under the root, cgroup path)
+    try:
+        with open(_PROC_CGROUP, encoding="ascii") as fh:
+            for line in fh:
+                _, controllers, path = line.rstrip("\n").split(":", 2)
+                if not controllers:
+                    hierarchies.append(("", path))
+                elif "memory" in controllers.split(","):
+                    hierarchies.append(("memory", path))
+    except (OSError, ValueError):
+        pass
+    files = set()
+    for mount, path in hierarchies:
+        parts = [part for part in path.split("/") if part]
+        if ".." in parts:  # a cgroup outside this namespace's view of the tree
+            continue
+        name = "memory.limit_in_bytes" if mount else "memory.max"
+        files.update(os.path.join(_CGROUP_ROOT, mount, *parts[:depth], name)
+                     for depth in range(len(parts) + 1))
+    return files
 
 
 def _memory_budget() -> int | None:
     """Bytes the process may still allocate: MemAvailable from /proc/meminfo,
-    or the cgroup memory limit when that is lower; None when neither is readable."""
+    or the smallest cgroup memory limit on the process's path
+    (``_memory_limit_files``) when that is lower; None when none is readable."""
     budgets = []
     try:
         with open("/proc/meminfo", encoding="ascii") as fh:
@@ -181,7 +214,7 @@ def _memory_budget() -> int | None:
                     break
     except (OSError, ValueError):
         pass
-    for path in _MEMORY_LIMIT_FILES:
+    for path in _memory_limit_files():
         try:
             with open(path, encoding="ascii") as fh:
                 budgets.append(int(fh.read()))  # "max" (no limit) fails int()
@@ -197,21 +230,26 @@ def _dense_bytes(dataset: MultiViewDataset) -> int:
     Lam3) and the n x min(d, n) Z-step factor: 8 n (5 n + min(d, n)) bytes.
     Beside it a solve holds, per view, the d x n blocks E and Lam1, and one
     view's per-iteration scratch at a time: 6 n^2 + 5 n max(d) values. The
-    scratch figure bounds the peak of a whole solve as tracemalloc measured
-    it, less the state, E and Lam1, over all three ablation modes and 15
-    iterations: 9.2 n^2 at n = 90, 8.1 n^2 at n = 120, 6.4 n^2 at n = 180,
-    4.2 n^2 at n = 300 and 3.8 n^2 at n = 600 for views of d <= 30, and
-    6 n^2 plus up to 5.0 n d for views of d = 200 and 600 at n = 60. Its
+    figure is an upper bound. A solve holds all five n x n matrices per view
+    only in initialize: its loop drops each view's Z, old A and old U at their
+    last reads (see ``solve``), so it holds four per view and at most two Z's.
+    The scratch figure bounds the peak of a whole solve as tracemalloc
+    measured it, less the state, E and Lam1, over all three ablation modes
+    and 15 iterations, on views of 10, 30 and 10 features: 5.3 n^2 at n = 90,
+    3.3 n^2 at n = 180, 1.6 n^2 at n = 300 and 1.3 n^2 at n = 600 (9.2, 6.4,
+    4.2 and 3.8 n^2 while each matrix lived until its next write); on views
+    of d = 200 and 600 at n = 60, 6 n^2 plus 4.8 to 5.2 n d, within the
+    figure once the fixed term below is counted. Its
     largest part is the U-step's: while update_u thresholds view v, view
     v + 1's M^T M and eigenvectors are alive beside view v's M, eigenvectors
     and result. The eigenvectors are the top partial_k(n), and n x n only when
     the prox takes the full spectrum, after a miss or a hint past
     partial_k(n); that happened in the first iterations at n = 90 to 180,
-    where it set the 6 n^2, while at n >= 300 every call was partial. A fixed
+    where it set the peak, while at n >= 300 every call was partial. A fixed
     128 KiB covers the allocations that do not grow with n or d, which
     dominate at small n: 15 iterations in a fresh interpreter, on views of
-    d = 4 and 5, peaked up to 84, 101 and 116 KB above the rest of the figure
-    at n = 30, 45 and 60, and 67 KB at n = 6.
+    d = 4 and 5, peaked up to 65, 72, 69 and 49 KB above the rest of the
+    figure at n = 6, 30, 45 and 60.
     """
     n = dataset.n_samples
     dims = [view.n_features for view in dataset.views]
@@ -237,21 +275,17 @@ def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
                          f"per-iteration scratch, more than the {budget} bytes of memory "
                          "available")
 
-    Z, A, U, E, Lam1, Lam2, Lam3, w = [], [], [], [], [], [], [], []
-    for view in dataset.views:
-        graph = knn_affinity(view.values, config.k_init)
-        Z.append(graph.copy())
-        A.append(graph.copy())
-        U.append(graph.copy())
-        E.append(np.zeros_like(view.values))
-        Lam1.append(np.zeros_like(view.values))
-        Lam2.append(np.zeros((n, n)))
-        Lam3.append(np.zeros((n, n)))
-        w.append(np.full(view.n_features, 1.0 / view.n_features))
+    # Q first, while the graphs are the only n x n arrays
+    A = [knn_affinity(view.values, config.k_init) for view in dataset.views]
     Q, _ = update_q(submit_q(A, config.n_clusters))
-
-    return SolverState(Z=Z, A=A, U=U, E=E, Lam1=Lam1, Lam2=Lam2, Lam3=Lam3,
-                       w=w, Q=Q, mu=config.mu0, z_factor=z_step_factors(dataset))
+    views = dataset.views
+    return SolverState(Z=[graph.copy() for graph in A], A=A, U=[graph.copy() for graph in A],
+                       E=[np.zeros_like(view.values) for view in views],
+                       Lam1=[np.zeros_like(view.values) for view in views],
+                       Lam2=[np.zeros((n, n)) for _ in views],
+                       Lam3=[np.zeros((n, n)) for _ in views],
+                       w=[np.full(view.n_features, 1.0 / view.n_features) for view in views],
+                       Q=Q, mu=config.mu0, z_factor=z_step_factors(dataset))
 
 
 def update_z(state: SolverState, dataset: MultiViewDataset, view: int) -> np.ndarray:
@@ -393,20 +427,22 @@ def _max_abs(M: np.ndarray) -> float:
 
 
 def update_multipliers(state: SolverState, view: int,
-                       recon_gap: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
+                       recon_gap: np.ndarray) -> tuple[float, float, float]:
     """Dual ascent at step size mu on the three constraint gaps: ``recon_gap``,
-    X - XZ - E as update_e returned it, and Z - U and Z - A formed here. Returns
-    the new (Lam1, Lam2, Lam3) and the gaps' max-abs entries (r_recon, r_u, r_a).
-    Each n x n gap becomes its new multiplier in place."""
+    X - XZ - E as update_e returned it, and Z - U and Z - A formed here. Writes
+    the view's new multipliers into ``state``: Lam1 (d x n) as a new array, Lam2
+    and Lam3 in place, lam += mu * gap, with the bits of lam + mu * gap, so no
+    second n x n multiplier is alive. Each n x n gap is scaled by mu in its own
+    buffer. Returns the gaps' max-abs entries (r_recon, r_u, r_a)."""
     Z, mu = state.Z[view], state.mu
-    lams, norms = [state.Lam1[view] + mu * recon_gap], [_max_abs(recon_gap)]
+    state.Lam1[view] = state.Lam1[view] + mu * recon_gap
+    norms = [_max_abs(recon_gap)]
     for block, lam in ((state.U[view], state.Lam2[view]), (state.A[view], state.Lam3[view])):
         gap = Z - block
         norms.append(_max_abs(gap))
         gap *= mu
-        gap += lam
-        lams.append(gap)
-    return tuple(lams), tuple(norms)
+        lam += gap
+    return tuple(norms)
 
 
 def step_mu(state: SolverState, config: SolverConfig) -> float:
@@ -452,12 +488,26 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
       multiplier steps and the next iteration's first Z-step, as the next
       A-step is the first block that reads Q. Only then is the iteration's
       trace row made: E and the objective terms are still its own.
+    Each view's n x n matrix is dropped (its entry set to None) at its last read
+    in an iteration, not at its next write, with the same bits: Z_v after view
+    v's multiplier step, and the starting Z's, which no block reads, before the
+    loop, so only Z_v and the look-ahead Z_{v+1} are ever alive; the old A_v
+    just before update_a; the old U_v just before submit_u, except U_0, which
+    goes after close_iteration, whose objective still reads it. Lam2 and Lam3
+    take their step in place (update_multipliers). So between blocks the loop
+    holds per view A, U, Lam2 and Lam3, at most two Z's, and the U-step
+    decompositions of views v and v + 1 (M^T M and its buffers each). After the
+    loop only A, Q and w are kept, for k-means and the fused graph. The
+    largest per-block tracemalloc peak of a 10-iteration solve of the capped
+    n = 600 benchmark data is 16.6 n^2 values (19.1 when each matrix lived
+    until its next write and the multipliers were new arrays).
     The worker lives for the call. So does a thread count of 1 for numpy's
     OpenBLAS, unless the user set one (``one_blas_thread``): beside the worker,
     more threads only oversubscribe the cores, and 1 was faster on 2 cores at
     every size measured, n = 300 to 1200.
     """
     state = initialize(dataset, config)
+    state.Z = [None] * state.n_views  # each Z-step writes its Z before any block reads it
     last = state.n_views - 1
     rows: list[tuple[float, ...]] = []
     converged = False
@@ -479,7 +529,9 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
             started = on_worker(submit_u(state, config, 0))
             if q_step is not None:
                 close_iteration()
+            state.U[0] = None  # read last by Z_0 and the objective
             for v in range(state.n_views):
+                state.A[v] = None
                 state.A[v] = update_a(state, dataset, config, v)
                 if v == last:
                     q_step = on_worker(submit_q(state.A, config.n_clusters))
@@ -488,12 +540,13 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
                 upcoming = None
                 if v < last:
                     state.Z[v + 1] = update_z(state, dataset, v + 1)
+                    state.U[v + 1] = None
                     upcoming = on_worker(submit_u(state, config, v + 1))
                 state.U[v], u_term = update_u(state, config, v, started)
                 started = upcoming  # frees view v's eigenvectors before the multipliers
                 view_terms[v] += u_term
-                lams, gaps[v] = update_multipliers(state, v, recon_gap)
-                state.Lam1[v], state.Lam2[v], state.Lam3[v] = lams
+                gaps[v] = update_multipliers(state, v, recon_gap)
+                state.Z[v] = None
             worst = np.max(gaps, axis=0)  # r_recon, r_u, r_a: each gap's maximum over the views
             row_tail = (*worst, state.mu)
             if worst.max() < config.tol:
@@ -503,9 +556,11 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
         if q_step is not None:
             close_iteration()
 
+    A, Q, weights = state.A, state.Q, state.w
+    del state  # the rest of the state goes before k-means and the fused graph
     width = len(fields(ConvergenceTrace))
     trace = ConvergenceTrace(*np.array(rows, dtype=float).reshape(-1, width).T)
-    labels = kmeans(state.Q, config.n_clusters, seed=config.seed)
-    return ClusteringResult(labels=labels, Q=state.Q, fused_similarity=fuse_similarity(state.A),
-                            weights=[w.copy() for w in state.w], trace=trace,
+    labels = kmeans(Q, config.n_clusters, seed=config.seed)
+    return ClusteringResult(labels=labels, Q=Q, fused_similarity=fuse_similarity(A),
+                            weights=[w.copy() for w in weights], trace=trace,
                             converged=converged)

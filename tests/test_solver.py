@@ -195,15 +195,17 @@ class TestInitialize:
         assert traced_peak(ds, cfg) <= figure
 
     def test_solve_peak_above_dense_state_at_n300(self):
-        # every U-step decomposition here is the top partial_k(n), and one in
-        # flight holds no M: a peak 4.5 n^2 values above the dense state
+        # every U-step decomposition here is the top partial_k(n), one in flight
+        # holds no M, and solve drops each view's Z, old A and old U at its last
+        # read and steps Lam2 and Lam3 in place: a peak 2.0 n^2 values above the
+        # dense state (4.5 n^2 when each lived until its next write)
         spec = SynthSpec(clusters=3, samples_per_cluster=100, view_dims=(10, 10, 10),
                          noise_feature_counts=(0, 20, 0), seed=1)
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
         n = ds.n_samples
         state = 8 * n * sum(5 * n + min(view.n_features, n) for view in ds.views)
         peak = traced_peak(ds, SolverConfig(n_clusters=3, max_iter=5))
-        assert peak - state <= 8 * 5.5 * n * n
+        assert peak - state <= 8 * 2.25 * n * n
 
 
 class TestMemoryBudget:
@@ -216,7 +218,7 @@ class TestMemoryBudget:
             paths.append(tmp_path / f"limit_{i}")
             if text is not None:  # None: a path that does not exist
                 paths[-1].write_text(text, encoding="ascii")
-        monkeypatch.setattr(mvsc.solver, "_MEMORY_LIMIT_FILES", tuple(map(str, paths)))
+        monkeypatch.setattr(mvsc.solver, "_memory_limit_files", lambda: set(map(str, paths)))
         return mvsc.solver._memory_budget()
 
     def test_a_file_holding_max_is_skipped(self, monkeypatch, tmp_path):
@@ -239,6 +241,39 @@ class TestMemoryBudget:
         monkeypatch.setattr(mvsc.solver, "open", no_meminfo, raising=False)
         assert self.budget(monkeypatch, tmp_path, [None, "max\n"]) is None
         assert self.budget(monkeypatch, tmp_path, ["5000\n"]) == 5000
+
+    @staticmethod
+    def cgroup_budget(monkeypatch, tmp_path, proc_cgroup, limits):
+        # a fake /proc/self/cgroup and cgroup tree; ``limits`` maps a file's path
+        # under the root to its contents
+        root = tmp_path / "cgroup"
+        for name, text in limits.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text, encoding="ascii")
+        (tmp_path / "proc_cgroup").write_text(proc_cgroup, encoding="ascii")
+        monkeypatch.setattr(mvsc.solver, "_PROC_CGROUP", str(tmp_path / "proc_cgroup"))
+        monkeypatch.setattr(mvsc.solver, "_CGROUP_ROOT", str(root))
+        return mvsc.solver._memory_budget()
+
+    def test_v2_limit_of_the_own_cgroup_counts_without_a_root_limit(self, monkeypatch, tmp_path):
+        # as under systemd-run -p MemoryMax=...: the root has no memory.max
+        assert self.cgroup_budget(monkeypatch, tmp_path, "0::/system.slice/run-u7.service\n", {
+            "system.slice/memory.max": "max\n",
+            "system.slice/run-u7.service/memory.max": "6000\n"}) == 6000
+
+    def test_v1_takes_the_smallest_limit_on_the_path(self, monkeypatch, tmp_path):
+        proc_cgroup = "9:name=systemd:/\n4:memory:/jobs/job1\n1:cpu:/other\n0::/\n"
+        assert self.cgroup_budget(monkeypatch, tmp_path, proc_cgroup, {
+            "memory/memory.limit_in_bytes": "9223372036854771712\n",
+            "memory/jobs/memory.limit_in_bytes": "5000\n",
+            "memory/jobs/job1/memory.limit_in_bytes": "8000\n",
+            "memory/other/memory.limit_in_bytes": "3000\n"}) == 5000
+
+    def test_unreadable_proc_cgroup_leaves_the_root_limits(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(mvsc.solver, "_PROC_CGROUP", str(tmp_path / "missing"))
+        monkeypatch.setattr(mvsc.solver, "_CGROUP_ROOT", str(tmp_path))
+        (tmp_path / "memory.max").write_text("7000\n", encoding="ascii")
+        assert mvsc.solver._memory_budget() == 7000
 
 
 class TestUpdateZ:
@@ -603,10 +638,10 @@ class TestMultipliersAndMu:
         state.U[0] = state.Z[0].copy()
         state.A[0] = state.Z[0].copy()
         state.E[0] = X - X @ state.Z[0]
-        (l1, l2, l3), _ = update_multipliers(state, 0, X - X @ state.Z[0] - state.E[0])
-        assert np.allclose(l1, state.Lam1[0], atol=1e-12)
-        assert np.allclose(l2, state.Lam2[0], atol=1e-12)
-        assert np.allclose(l3, state.Lam3[0], atol=1e-12)
+        before = [lam[0].copy() for lam in (state.Lam1, state.Lam2, state.Lam3)]
+        update_multipliers(state, 0, X - X @ state.Z[0] - state.E[0])
+        for old, lam in zip(before, (state.Lam1, state.Lam2, state.Lam3)):
+            assert np.allclose(lam[0], old, atol=1e-12)
 
     def test_analytic_ascent_step(self, rng):
         ds = make_random_dataset(4, (2,), rng)
@@ -614,7 +649,7 @@ class TestMultipliersAndMu:
         state = make_random_state(ds, cfg, rng, mu=2.0)
         X = ds.views[0].values
         state.E[0], recon_gap = update_e(state, ds, cfg, 0)
-        _, gaps = update_multipliers(state, 0, recon_gap)
+        gaps = update_multipliers(state, 0, recon_gap)
         assert gaps == (np.abs(X - X @ state.Z[0] - state.E[0]).max(),
                         np.abs(state.Z[0] - state.U[0]).max(),
                         np.abs(state.Z[0] - state.A[0]).max())
@@ -624,9 +659,29 @@ class TestMultipliersAndMu:
         state.U[0] = state.Z[0] - 1.0  # Z - U = all-ones
         state.A[0] = state.Z[0].copy()
         state.E[0] = X - X @ state.Z[0]
-        (_, l2, _), gaps = update_multipliers(state, 0, X - X @ state.Z[0] - state.E[0])
-        assert np.allclose(l2, 2.0, atol=1e-12)
+        gaps = update_multipliers(state, 0, X - X @ state.Z[0] - state.E[0])
+        assert np.allclose(state.Lam2[0], 2.0, atol=1e-12)
         assert gaps == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
+
+    def test_steps_the_views_multipliers_in_place(self, rng):
+        ds = make_random_dataset(7, (3, 4), rng)
+        cfg = SolverConfig(n_clusters=2, k_init=2)
+        state = make_random_state(ds, cfg, rng)
+        X, mu = ds.views[1].values, state.mu
+        recon_gap = X - X @ state.Z[1] - state.E[1]
+        lams = [state.Lam1, state.Lam2, state.Lam3]
+        want = [lams[0][1].copy() + mu * recon_gap,
+                lams[1][1].copy() + mu * (state.Z[1].copy() - state.U[1].copy()),
+                lams[2][1].copy() + mu * (state.Z[1].copy() - state.A[1].copy())]
+        others = [lam[0] for lam in lams]
+        others_before = [lam.copy() for lam in others]
+        lam2, lam3 = state.Lam2[1], state.Lam3[1]
+        update_multipliers(state, 1, recon_gap)
+        assert state.Lam2[1] is lam2 and state.Lam3[1] is lam3
+        for lam, expected in zip(lams, want):
+            assert np.array_equal(lam[1], expected)
+        for lam, other, before in zip(lams, others, others_before):
+            assert lam[0] is other and np.array_equal(other, before)
 
     def test_mu_schedule(self):
         cfg = SolverConfig(n_clusters=2, mu0=1e-3, rho=1.1, mu_max=1e6)
@@ -804,7 +859,7 @@ class TestSolve:
                 state.U[v], _ = update_u(state, cfg, v, submit_u(state, cfg, v))
                 state.E[v], recon_gap = update_e(state, ds, cfg, v)
                 state.w[v], _ = update_w(state, ds, cfg, v)
-                (state.Lam1[v], state.Lam2[v], state.Lam3[v]), _ = update_multipliers(state, v, recon_gap)
+                update_multipliers(state, v, recon_gap)
                 assert state.A[v].min() >= 0.0
                 assert np.abs(state.A[v].sum(axis=1) - 1.0).max() <= 1e-9
                 assert np.all(np.diag(state.A[v]) == 0.0)
