@@ -13,6 +13,7 @@ solver algebra in its natural orientation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -153,7 +154,8 @@ def write_csv(path: str | Path, rows, fmt: str | list[str] = "%.17g", header: st
 
 def _parse_numeric_csv(path: Path, convert=float, width: int | None = None) -> np.ndarray:
     """Read comma-separated rows, skipping blank lines, with ``convert`` applied to
-    each cell; every row must have ``width`` cells, or as many as the first row."""
+    each cell, whose value must be finite; every row must have ``width`` cells, or
+    as many as the first row."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -165,6 +167,8 @@ def _parse_numeric_csv(path: Path, convert=float, width: int | None = None) -> n
             for col, cell in enumerate(cells, start=1):
                 try:
                     row.append(convert(cell))
+                    if not math.isfinite(row[-1]):
+                        raise ValueError(f"non-finite value {cell.strip()!r}")
                 except ValueError as exc:
                     raise DatasetFormatError(f"{path}:{lineno}: column {col}: {exc}") from None
             width = width or len(row)

@@ -98,8 +98,8 @@ class SolverState:
     only on the data, never on iterates, and no n x n inverse is stored.
     ``clipped`` maps a view to how many singular values its last U-step
     prox clipped, the next prox's hint; a view has no entry before its first.
-    Inside ``solve`` an entry of Z, A or U is None between its last read and
-    its next write, and Lam2 and Lam3 are stepped in place.
+    An entry of Z, A or U is None between its last read and its next write
+    (see ``solve``); Z starts unset and U as the same arrays as A.
     """
 
     Z: list[np.ndarray]
@@ -230,14 +230,13 @@ def _dense_bytes(dataset: MultiViewDataset) -> int:
     Lam3) and the n x min(d, n) Z-step factor: 8 n (5 n + min(d, n)) bytes.
     Beside it a solve holds, per view, the d x n blocks E and Lam1, and one
     view's per-iteration scratch at a time: 6 n^2 + 5 n max(d) values. The
-    figure is an upper bound. A solve holds all five n x n matrices per view
-    only in initialize: its loop drops each view's Z, old A and old U at their
-    last reads (see ``solve``), so it holds four per view and at most two Z's.
+    figure is an upper bound: a solve never holds five n x n matrices per
+    view. initialize holds three (A, which U starts as, Lam2 and Lam3), and
+    the loop four (A, U, Lam2 and Lam3) and at most two Z's (see ``solve``).
     The scratch figure bounds the peak of a whole solve as tracemalloc
     measured it, less the state, E and Lam1, over all three ablation modes
     and 15 iterations, on views of 10, 30 and 10 features: 5.3 n^2 at n = 90,
-    3.3 n^2 at n = 180, 1.6 n^2 at n = 300 and 1.3 n^2 at n = 600 (9.2, 6.4,
-    4.2 and 3.8 n^2 while each matrix lived until its next write); on views
+    3.3 n^2 at n = 180, 1.2 n^2 at n = 300 and 0.8 n^2 at n = 600; on views
     of d = 200 and 600 at n = 60, 6 n^2 plus 4.8 to 5.2 n d, within the
     figure once the fixed term below is counted. Its
     largest part is the U-step's: while update_u thresholds view v, view
@@ -258,8 +257,9 @@ def _dense_bytes(dataset: MultiViewDataset) -> int:
 
 
 def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
-    """Starting point: kNN graphs for Z = A = U, zero E and multipliers,
-    uniform feature weights, and Q from the Laplacian of the summed initial graphs.
+    """Starting point: the kNN graphs as A and as U (the same arrays), Z unset,
+    as no Z-step reads a Z, zero E and multipliers, uniform feature weights, and
+    Q from the Laplacian of the summed initial graphs.
 
     When what a solve holds at its peak (``_dense_bytes``) exceeds
     ``_memory_budget()``, this raises ValueError before allocating any n x n matrix.
@@ -279,9 +279,9 @@ def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
     A = [knn_affinity(view.values, config.k_init) for view in dataset.views]
     Q, _ = update_q(submit_q(A, config.n_clusters))
     views = dataset.views
-    return SolverState(Z=[graph.copy() for graph in A], A=A, U=[graph.copy() for graph in A],
-                       E=[np.zeros_like(view.values) for view in views],
-                       Lam1=[np.zeros_like(view.values) for view in views],
+    return SolverState(Z=[None] * len(A), A=A, U=list(A),
+                       E=[np.zeros(view.values.shape) for view in views],
+                       Lam1=[np.zeros(view.values.shape) for view in views],
                        Lam2=[np.zeros((n, n)) for _ in views],
                        Lam3=[np.zeros((n, n)) for _ in views],
                        w=[np.full(view.n_features, 1.0 / view.n_features) for view in views],
@@ -429,20 +429,21 @@ def _max_abs(M: np.ndarray) -> float:
 def update_multipliers(state: SolverState, view: int,
                        recon_gap: np.ndarray) -> tuple[float, float, float]:
     """Dual ascent at step size mu on the three constraint gaps: ``recon_gap``,
-    X - XZ - E as update_e returned it, and Z - U and Z - A formed here. Writes
-    the view's new multipliers into ``state``: Lam1 (d x n) as a new array, Lam2
-    and Lam3 in place, lam += mu * gap, with the bits of lam + mu * gap, so no
-    second n x n multiplier is alive. Each n x n gap is scaled by mu in its own
-    buffer. Returns the gaps' max-abs entries (r_recon, r_u, r_a)."""
+    X - XZ - E as update_e returned it, which is scaled in place, and Z - U and
+    Z - A formed here. Each multiplier of the view in ``state`` takes its
+    step in place by one rule, gap *= mu; lam += gap, with the bits of
+    lam + mu * gap, and each gap is freed before the next is formed. Returns
+    the gaps' max-abs entries (r_recon, r_u, r_a)."""
     Z, mu = state.Z[view], state.mu
-    state.Lam1[view] = state.Lam1[view] + mu * recon_gap
-    norms = [_max_abs(recon_gap)]
-    for block, lam in ((state.U[view], state.Lam2[view]), (state.A[view], state.Lam3[view])):
-        gap = Z - block
-        norms.append(_max_abs(gap))
+
+    def step(lam: np.ndarray, gap: np.ndarray) -> float:
+        norm = _max_abs(gap)
         gap *= mu
         lam += gap
-    return tuple(norms)
+        return norm
+
+    return (step(state.Lam1[view], recon_gap), step(state.Lam2[view], Z - state.U[view]),
+            step(state.Lam3[view], Z - state.A[view]))
 
 
 def step_mu(state: SolverState, config: SolverConfig) -> float:
@@ -488,26 +489,25 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
       multiplier steps and the next iteration's first Z-step, as the next
       A-step is the first block that reads Q. Only then is the iteration's
       trace row made: E and the objective terms are still its own.
-    Each view's n x n matrix is dropped (its entry set to None) at its last read
-    in an iteration, not at its next write, with the same bits: Z_v after view
-    v's multiplier step, and the starting Z's, which no block reads, before the
-    loop, so only Z_v and the look-ahead Z_{v+1} are ever alive; the old A_v
-    just before update_a; the old U_v just before submit_u, except U_0, which
-    goes after close_iteration, whose objective still reads it. Lam2 and Lam3
-    take their step in place (update_multipliers). So between blocks the loop
-    holds per view A, U, Lam2 and Lam3, at most two Z's, and the U-step
-    decompositions of views v and v + 1 (M^T M and its buffers each). After the
-    loop only A, Q and w are kept, for k-means and the fused graph. The
-    largest per-block tracemalloc peak of a 10-iteration solve of the capped
-    n = 600 benchmark data is 16.6 n^2 values (19.1 when each matrix lived
-    until its next write and the multipliers were new arrays).
+    One lifetime rule holds for the state's per-view n x n matrices: each is
+    dropped (its entry set to None) at its last read, never kept to its next
+    write. No block writes into an array of the state except the multiplier
+    step, which steps Lam1, Lam2 and Lam3 in place (update_multipliers), so
+    the bits are those of that order. initialize sets no Z, as no Z-step
+    reads one, and starts U as the kNN graphs that are A. Every view starts
+    through start_view: Z_v, then the drop of the old U_v, whose last reader is
+    that Z-step, then the U-step's decomposition. Z_v goes after view v's
+    multiplier step, so only Z_v and the look-ahead Z_{v+1} are ever alive,
+    and the old A_v just before update_a. Between blocks the loop holds per
+    view A, U, Lam2 and Lam3, at most two Z's, and the U-step decompositions of
+    views v and v + 1 (M^T M and its buffers each). After the loop only A, Q
+    and w are kept, for k-means and the fused graph.
     The worker lives for the call. So does a thread count of 1 for numpy's
     OpenBLAS, unless the user set one (``one_blas_thread``): beside the worker,
     more threads only oversubscribe the cores, and 1 was faster on 2 cores at
     every size measured, n = 300 to 1200.
     """
     state = initialize(dataset, config)
-    state.Z = [None] * state.n_views  # each Z-step writes its Z before any block reads it
     last = state.n_views - 1
     rows: list[tuple[float, ...]] = []
     converged = False
@@ -519,17 +519,20 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
             decomposition.start(pool)
         return decomposition
 
+    def start_view(v: int) -> SymmetricEigh | None:
+        state.Z[v] = update_z(state, dataset, v)
+        state.U[v] = None
+        return on_worker(submit_u(state, config, v))
+
     def close_iteration() -> None:
         state.Q, eig_sum = update_q(q_step)
         rows.append((evaluate_objective(state, config, view_terms, eig_sum), *row_tail))
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         for _ in range(config.max_iter):
-            state.Z[0] = update_z(state, dataset, 0)
-            started = on_worker(submit_u(state, config, 0))
+            started = start_view(0)
             if q_step is not None:
                 close_iteration()
-            state.U[0] = None  # read last by Z_0 and the objective
             for v in range(state.n_views):
                 state.A[v] = None
                 state.A[v] = update_a(state, dataset, config, v)
@@ -537,11 +540,7 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
                     q_step = on_worker(submit_q(state.A, config.n_clusters))
                 state.E[v], recon_gap = update_e(state, dataset, config, v)
                 state.w[v], view_terms[v] = update_w(state, dataset, config, v)
-                upcoming = None
-                if v < last:
-                    state.Z[v + 1] = update_z(state, dataset, v + 1)
-                    state.U[v + 1] = None
-                    upcoming = on_worker(submit_u(state, config, v + 1))
+                upcoming = start_view(v + 1) if v < last else None
                 state.U[v], u_term = update_u(state, config, v, started)
                 started = upcoming  # frees view v's eigenvectors before the multipliers
                 view_terms[v] += u_term
@@ -562,5 +561,4 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
     trace = ConvergenceTrace(*np.array(rows, dtype=float).reshape(-1, width).T)
     labels = kmeans(Q, config.n_clusters, seed=config.seed)
     return ClusteringResult(labels=labels, Q=Q, fused_similarity=fuse_similarity(A),
-                            weights=[w.copy() for w in weights], trace=trace,
-                            converged=converged)
+                            weights=weights, trace=trace, converged=converged)

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -209,6 +210,17 @@ class TestCluster:
         assert manifests[0] == manifests[1]
         assert traces[0] == traces[1]
         assert sum(h is not None and h + 2 <= partial_k(150) for h in hints) > len(hints) // 2
+
+    def test_non_finite_view_cell_is_reported(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("mvsc.cli.solve", _no_solve)
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "view_1.csv").write_text("0,1\n1,0\n1,1\n")
+        (data / "view_2.csv").write_text("0,1\n1,0\ninf,1\n")
+        assert run("cluster", data, "--clusters", 2, "-o", tmp_path / "x.json") == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: .*view_2\.csv:3: column 1: non-finite value 'inf'$", err, re.M)
+        assert not (tmp_path / "x.json").exists()
 
     def test_bad_data_dir_fails(self, tmp_path):
         assert run("cluster", tmp_path / "missing", "--clusters", 3,

@@ -67,6 +67,13 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match=r"view_1\.csv:2.*'oops'"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_file_line_and_column(self, tmp_path, cell):
+        (tmp_path / "view_1.csv").write_text(f"1,2\n3,{cell}\n")
+        with pytest.raises(DatasetFormatError,
+                           match=rf"view_1\.csv:2: column 2: non-finite value '{cell}'$"):
+            load_dataset(tmp_path)
+
     def test_blank_lines_skipped(self, tmp_path):
         (tmp_path / "view_1.csv").write_text("\n1,2\n\n  \n3,4\n\n")
         assert load_dataset(tmp_path).views[0].values.tolist() == [[1, 3], [2, 4]]

@@ -531,6 +531,13 @@ class TestSingleOwner:
         assert scopes and all(scope == "solver.solve" or scope.startswith("solver.solve.")
                               for scope in scopes)
 
+    def test_only_start_view_starts_a_view(self):
+        # view 0 and the look-ahead view take one path: the Z-step, the drop of
+        # the old U, and the U-step's decomposition
+        callers = _callers()
+        for name in ("update_z", "submit_u"):
+            assert {s for s in callers[name] if s.startswith("solver.")} == {"solver.solve.start_view"}
+
     def test_only_gram_eigh_and_smallest_eigvecs_build_a_decomposition(self):
         # and the full-range rerun after a failed dsyevr call
         assert _callers()["SymmetricEigh"] == {"prox_ops.gram_eigh", "spectral.smallest_eigvecs",

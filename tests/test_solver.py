@@ -53,6 +53,12 @@ def small_problem(rng):
     return dataset, config, state
 
 
+# the data of the benchmark's n = 300 workload: 3 clusters of 100, views of 10,
+# 30 (20 noise) and 10 features
+N300_SPEC = SynthSpec(clusters=3, samples_per_cluster=100, view_dims=(10, 10, 10),
+                      noise_feature_counts=(0, 20, 0), seed=1)
+
+
 def traced_peak(dataset: MultiViewDataset, config: SolverConfig) -> int:
     """Peak bytes tracemalloc traced over one solve, which runs config.max_iter iterations."""
     tracemalloc.start()
@@ -119,8 +125,7 @@ class TestInitialize:
             assert np.all(state.Lam1[v] == 0.0)
             assert np.all(state.Lam2[v] == 0.0)
             assert np.all(state.Lam3[v] == 0.0)
-            assert np.array_equal(state.Z[v], state.A[v])
-            assert np.array_equal(state.Z[v], state.U[v])
+            assert state.Z[v] is None and state.U[v] is state.A[v]
 
     def test_initial_graph_is_knn(self, rng):
         ds = make_random_dataset(9, (4,), rng)
@@ -197,15 +202,26 @@ class TestInitialize:
     def test_solve_peak_above_dense_state_at_n300(self):
         # every U-step decomposition here is the top partial_k(n), one in flight
         # holds no M, and solve drops each view's Z, old A and old U at its last
-        # read and steps Lam2 and Lam3 in place: a peak 2.0 n^2 values above the
-        # dense state (4.5 n^2 when each lived until its next write)
-        spec = SynthSpec(clusters=3, samples_per_cluster=100, view_dims=(10, 10, 10),
-                         noise_feature_counts=(0, 20, 0), seed=1)
-        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        # read and steps the multipliers in place: a peak 2.0 n^2 values above
+        # the dense state
+        ds = normalize(generate_synthetic(N300_SPEC), "unit_l2_per_sample")
         n = ds.n_samples
         state = 8 * n * sum(5 * n + min(view.n_features, n) for view in ds.views)
         peak = traced_peak(ds, SolverConfig(n_clusters=3, max_iter=5))
         assert peak - state <= 8 * 2.25 * n * n
+
+    def test_initialize_peak_at_n300(self):
+        # the kNN graphs serve as both A and U, and no Z is set: per view A, Lam2
+        # and Lam3, 9.7 n^2 values in all with the Q-step's and the graphs' scratch
+        ds = normalize(generate_synthetic(N300_SPEC), "unit_l2_per_sample")
+        n = ds.n_samples
+        tracemalloc.start()
+        try:
+            initialize(ds, SolverConfig(n_clusters=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 12 * n * n
 
 
 class TestMemoryBudget:
@@ -873,13 +889,22 @@ class TestSolve:
     def test_objective_matches_oracle_every_iteration(self, mode, monkeypatch):
         spec = SynthSpec(clusters=2, samples_per_cluster=8, view_dims=(3, 5), seed=6)
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
-        seen = []
+        seen, last_u = [], {}
+
+        def recorded(state, config, view, started):
+            U, u_term = update_u(state, config, view, started)
+            last_u[view] = U
+            return U, u_term
 
         def checked(state, config, view_terms, eigenvalue_sum):
+            # solve drops each U at its last reader, the next Z-step; the oracle
+            # reads each view's U as update_u returned it
             seen.append(evaluate_objective(state, config, view_terms, eigenvalue_sum))
-            assert seen[-1] == pytest.approx(brute_force_objective(state, ds, config), rel=1e-10)
+            with_u = dataclasses.replace(state, U=[last_u[v] for v in range(state.n_views)])
+            assert seen[-1] == pytest.approx(brute_force_objective(with_u, ds, config), rel=1e-10)
             return seen[-1]
 
+        monkeypatch.setattr("mvsc.solver.update_u", recorded)
         monkeypatch.setattr("mvsc.solver.evaluate_objective", checked)
         result = solve(ds, SolverConfig(n_clusters=2, max_iter=8, ablation=mode))
         assert len(seen) == result.iterations == 8
