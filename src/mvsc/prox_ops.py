@@ -3,10 +3,10 @@
 One sort-and-threshold rule (Duchi et al. 2008, projections onto the l1
 ball) serves the row-batched simplex projection that pins each row's own
 coordinate (the self-affinity) to zero, and the spectral-norm prox, which
-thresholds singular values (Cai, Candes & Shen 2010) taken from the top k
-eigenpairs of M^T M, with the full spectrum as k = n and as the one fallback
-when the top k fall short. Elementwise soft-thresholding is the prox of the
-l1 norm.
+thresholds singular values (Cai, Candes & Shen 2010) taken from one
+decomposition of M^T M, widened at most once: its top k eigenpairs (the full
+spectrum is k = n), and the full spectrum of the same M^T M when the top k
+fall short. Elementwise soft-thresholding is the prox of the l1 norm.
 
 Every symmetric eigenproblem in the package goes through ``SymmetricEigh``:
 LAPACK's dsyevr (MRRR; Dhillon, Parlett & Voemel 2006) from the OpenBLAS that
@@ -24,6 +24,7 @@ import contextlib
 import ctypes
 import os
 import threading
+from collections.abc import Callable
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -101,10 +102,16 @@ class SymmetricEigh:
     has returned, the object lets go of ``a``; it runs LAPACK once, so a
     second call or ``start`` raises RuntimeError.
 
-    When dsyevr fails on a partial range (info > 0, which it does on some
-    degenerate small inputs), the call rebuilds ``a`` from its intact upper
-    triangle and the saved diagonal and reruns over the full range, on the
-    calling thread, returning columns lo..hi; LinAlgError only if that fails too.
+    One decomposition, widened at most once: a partial range (lo..hi short of
+    0..n-1) is rerun over the full range of the same matrix, on the calling
+    thread, before the object lets go of it, when dsyevr fails on it (info > 0,
+    which it does on some degenerate small inputs) or when the caller's
+    ``accept``, a test on the partial values (ascending), returns False. The
+    call returns columns lo..hi, taken from the rerun after a failure, unless
+    ``accept`` rejects them; then it returns the full range. The rerun rebuilds
+    ``a`` from its upper triangle, which dsyevr leaves intact, and the saved
+    diagonal, so an exactly symmetric ``a`` gives the bits of a fresh
+    full-range call; LinAlgError only if the rerun fails too.
     """
 
     def __init__(self, a: np.ndarray, lo: int, hi: int) -> None:
@@ -151,7 +158,8 @@ class SymmetricEigh:
             raise RuntimeError("dsyevr has already been started on this matrix")
         self._future = pool.submit(self._lapack)
 
-    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, accept: Callable[[np.ndarray], bool] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
         if self._args is None:
             raise RuntimeError("dsyevr has already run on this matrix")
         if self._future is None:
@@ -160,28 +168,27 @@ class SymmetricEigh:
             self._future.result()
         # _args points into a: both go together, and only after LAPACK returned
         a, self.a, self._args = self.a, None, None
-        info = int(self.ints[8])
+        info, m = int(self.ints[8]), int(self.ints[4])
         if info < 0:
             raise ValueError(f"dsyevr: argument {-info} had an illegal value")
-        if info > 0:
-            return self._rerun_full_range(a)
-        m = int(self.ints[4])
-        return self.w[:m], self.z[:, :m]
+        if info == 0 and (accept is None or m == self.w.size or accept(self.w[:m])):
+            return self.w[:m], self.z[:, :m]
+        values, vectors = self._rerun_full_range(a)
+        lo, hi = int(self.ints[2]) - 1, int(self.ints[3]) - 1
+        if info > 0 and (accept is None or accept(values[lo:hi + 1])):
+            return values[lo:hi + 1], vectors[:, lo:hi + 1]
+        return values, vectors
 
     def _rerun_full_range(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """After a failed call: columns lo..hi of the full range of ``a``, rebuilt
-        from its upper triangle, which the call leaves intact, and the saved
-        diagonal. LinAlgError when the failed call already took the full range."""
+        """The full range of ``a``, rebuilt from its upper triangle, which this
+        object's call leaves intact, and the saved diagonal. LinAlgError when
+        this call already took the full range, or the rerun fails too."""
         n, lo, hi = a.shape[0], int(self.ints[2]) - 1, int(self.ints[3]) - 1
         if hi - lo + 1 < n:
-            for j in range(n - 1):
-                a[j + 1:, j] = a[j, j + 1:]
+            np.copyto(a, a.T, where=np.tri(n, k=-1, dtype=bool))
             np.fill_diagonal(a, self.diagonal)
-            try:
-                values, vectors = SymmetricEigh(a, 0, n - 1)()
-                return values[lo:hi + 1], vectors[:, lo:hi + 1]
-            except np.linalg.LinAlgError:
-                pass
+            with contextlib.suppress(np.linalg.LinAlgError):
+                return SymmetricEigh(a, 0, n - 1)()
         raise np.linalg.LinAlgError(f"dsyevr failed on eigenpairs {lo}..{hi} of an n = {n} "
                                     "matrix and on its full range")
 
@@ -250,8 +257,11 @@ def gram_eigh(M: np.ndarray, k_hint: int | None = None) -> SymmetricEigh:
     in an F-ordered buffer, with the dsyevr call for its top k eigenpairs, where
     k = partial_k(n) (n is M's column count) with no hint, k = k_hint + 2 with
     one, and k = n once that passes partial_k(n): the hint says how many values
-    may clip, so ``gram_eigh(M, n)`` takes the full spectrum. The solver starts
-    the call on a worker thread while the view's A-, E- and w-steps run.
+    may clip, so ``gram_eigh(M, n)`` takes the full spectrum. It is the prox's
+    one decomposition, widened at most once: when its top k fall short, the
+    call reruns over the full spectrum of the G it holds (``SymmetricEigh``).
+    The solver starts the call on a worker thread while the view's A-, E- and
+    w-steps run.
     """
     n = M.shape[1]
     limit = partial_k(n)
@@ -261,6 +271,14 @@ def gram_eigh(M: np.ndarray, k_hint: int | None = None) -> SymmetricEigh:
     G = np.empty((n, n), order="F")
     np.matmul(M.T, M, out=G)
     return SymmetricEigh(G, n - k, n - 1)
+
+
+def _clip_level(lam: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """The singular values s, descending, whose squares are the ascending
+    eigenvalues ``lam`` of M^T M, and the theta with sum(max(s - theta, 0)) = t,
+    which is <= 0 iff the values sum to <= t."""
+    s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    return s, _sort_threshold(s[None, :], t)[0]
 
 
 def prox_spectral_norm(M: np.ndarray, t: float,
@@ -280,8 +298,9 @@ def prox_spectral_norm(M: np.ndarray, t: float,
     (the hint is typically the previous call's clipped count), or by
     ``gram_eigh(M)``, the top partial_k(n), without it. theta from the top k
     is exact once the k-th value is <= theta, since the rest then lie below
-    theta too; otherwise the full spectrum is taken, as ``gram_eigh(M, n)``,
-    so a prox makes at most two decompositions. Then
+    theta too. That is the test the prox passes to the call; a top k that
+    fails it is widened to the full spectrum of the same G, so a prox forms
+    one G and makes one decomposition, widened at most once. Then
     U = M - (M Q_a) diag(1 - theta/s_a) Q_a^T over the clipped set a. Values
     taken as sqrt of G's eigenvalues are exact only to the rounding bound
     sqrt(n * eps) * s_1, so when theta is at or below it everything clips:
@@ -291,16 +310,14 @@ def prox_spectral_norm(M: np.ndarray, t: float,
     if t <= 0:
         raise ValueError("t must be positive")
     M = np.asarray(M, dtype=float)
-    n = M.shape[1]
-    decomposition = gram_eigh(M) if first is None else first
-    while True:
-        lam, V = decomposition()
-        s = np.sqrt(np.maximum(lam[::-1], 0.0))
-        theta = _sort_threshold(s[None, :], t)[0]  # <= 0 iff the k values sum to <= t
-        if s.size == n or s[-1] <= theta:
-            break
-        decomposition = gram_eigh(M, n)
-    bound = np.sqrt(n * np.finfo(float).eps) * s[0]
+
+    def settled(lam: np.ndarray) -> bool:
+        s, theta = _clip_level(lam, t)
+        return s[-1] <= theta
+
+    lam, V = (gram_eigh(M) if first is None else first)(settled)
+    s, theta = _clip_level(lam, t)
+    bound = np.sqrt(M.shape[1] * np.finfo(float).eps) * s[0]
     if theta <= bound:
         return np.zeros_like(M), 0.0, int(np.count_nonzero(s > bound))
     a = s > theta

@@ -241,7 +241,7 @@ class TestSpectralNormProxTopK:
             self.assert_matches(hinted_prox(M, t, want[2]), want)
             assert kernel_calls["svd"] == 0
 
-    def test_too_small_hint_falls_back_to_full_spectrum(self, rng, kernel_calls):
+    def test_too_small_hint_falls_back_to_full_spectrum(self, rng, kernel_calls, monkeypatch):
         s = np.concatenate([[40.0, 30.0, 10.4, 10.3, 10.2, 10.1], rng.uniform(0, 1, 114)])
         P, _ = np.linalg.qr(rng.standard_normal((120, 120)))
         Q, _ = np.linalg.qr(rng.standard_normal((120, 120)))
@@ -250,10 +250,24 @@ class TestSpectralNormProxTopK:
         want = full_svd_prox(M, t)
         assert want[1] == pytest.approx(9.0, rel=1e-12) and want[2] == 6
         kernel_calls["svd"] = 0
+        gram_products, real_matmul = [], np.matmul
+
+        def counted(*args, **kwargs):
+            gram_products.append(args[0].shape)
+            return real_matmul(*args, **kwargs)
+
         # the top 2 sum above t but reach no value at or below their theta,
-        # so the second and last decomposition is the full spectrum
-        self.assert_matches(hinted_prox(M, t, 0), want)
+        # so the one decomposition widens to the full spectrum, on the Gram
+        # matrix it already holds
+        with monkeypatch.context() as patch:
+            patch.setattr(prox_ops.np, "matmul", counted)
+            got = hinted_prox(M, t, 0)
+        self.assert_matches(got, want)
         assert kernel_calls == {"svd": 0, "eigh": 2}
+        assert gram_products == [(120, 120)]
+        # and the widened call returns the bits of a fresh full-spectrum prox
+        full = hinted_prox(M, t, 120)
+        assert np.array_equal(got[0], full[0]) and got[1:] == full[1:]
 
     def test_hint_past_partial_k_takes_full_spectrum(self, rng, kernel_calls, monkeypatch):
         ranges, real_init = [], SymmetricEigh.__init__
@@ -271,7 +285,7 @@ class TestSpectralNormProxTopK:
         got = hinted_prox(M, t, 29)  # k = 31 > partial_k(120)
         assert kernel_calls == {"svd": 0, "eigh": 1} and ranges == [(0, 119)]
         self.assert_matches(got, want)
-        # the prox's fallback, gram_eigh(M, n), is the same call
+        # a hint of n takes the same full-range call
         full = hinted_prox(M, t, 120)
         assert np.array_equal(got[0], full[0]) and got[1:] == full[1:]
         # without ``first``, the prox takes the top partial_k(n) as the solver does
@@ -410,11 +424,14 @@ class TestSymmetricEigh:
             with pytest.raises(RuntimeError, match="already been started"):
                 decomposition.start(pool)
 
-    @pytest.mark.parametrize("started", [False, True])
-    def test_failed_partial_call_reruns_over_full_range(self, started, rng, monkeypatch):
+    @pytest.mark.parametrize("started, accept", [
+        pytest.param(False, None, id="False"),
+        pytest.param(True, None, id="True"),
+        pytest.param(True, lambda values: False, id="rejected")])
+    def test_failed_partial_call_reruns_over_full_range(self, started, accept, rng, monkeypatch):
         # a failed dsyevr call (info > 0) leaves only a's upper triangle intact:
-        # here every partial call fails, and the full range runs on the rebuilt
-        # matrix, on the calling thread
+        # here every partial call fails, or the caller's test rejects its values,
+        # and the full range runs on the rebuilt matrix, on the calling thread
         real_lapack, threads = SymmetricEigh._lapack, []
 
         def failing(self):
@@ -422,7 +439,7 @@ class TestSymmetricEigh:
             n = self.a.shape[0]
             threads.append(threading.get_ident())
             if self.z.shape[1] < n:
-                self.ints[8] = 1
+                self.ints[8] = int(accept is None)  # 0 leaves the values to the test
                 self.a[np.tril_indices(n)] = np.nan
 
         monkeypatch.setattr(SymmetricEigh, "_lapack", failing)
@@ -431,12 +448,17 @@ class TestSymmetricEigh:
         with ThreadPoolExecutor(max_workers=1) as pool:
             if started:
                 decomposition.start(pool)
-            got = decomposition()
+            got = decomposition(accept)
         want = scipy.linalg.eigh(a)
-        assert np.allclose(got[0], want[0][27:]) and got[1].shape == (30, 3)
+        # a failed call returns columns 27..29; a rejected one the full range
+        k = 3 if accept is None else 30
+        assert np.allclose(got[0], want[0][30 - k:]) and got[1].shape == (30, k)
         assert np.allclose(a @ got[1], got[1] * got[0])
-        assert np.allclose(got[1].T @ got[1], np.eye(3))
+        assert np.allclose(got[1].T @ got[1], np.eye(k))
         assert threads[1] == threading.get_ident() and len(threads) == 2
+        assert (threads[0] != threads[1]) == started
+        if accept is not None:
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, subset_eigh(a, 0, 29)))
 
     def test_failed_full_range_raises(self, rng, monkeypatch):
         def failing(self):
