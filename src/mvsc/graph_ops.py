@@ -1,9 +1,8 @@
 """Graph-side primitives: affinities, Laplacians, and similarity fusion.
 
 Dense matrices throughout; sample counts stay in the low thousands, so
-sparse storage buys nothing here. Every distance matrix is one Gram
-product of the row-centered features (``pairwise_sq_distances``), so its
-O(d n^2) work runs in BLAS.
+sparse storage buys nothing here. Every distance matrix comes from
+``pairwise_sq_distances``.
 """
 
 from __future__ import annotations
@@ -32,17 +31,12 @@ def laplacian(graph: np.ndarray) -> np.ndarray:
 def pairwise_sq_distances(X: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the columns of X (d x n).
 
-    Gram form g_i + g_j - 2 y_i^T y_j, where Y is X with each feature row
-    centered: distances do not change under translation, and centering
-    keeps a large common offset from cancelling digits (uncentered, an
-    offset of 1e6 costs about 4). Y is scaled by sqrt(2) so that one BLAS
-    product gives 2 y_i^T y_j; numpy forms a product with its own
-    transpose as a symmetric one, and g_i + g_j is formed first, so D is
-    exactly symmetric. BLAS rounds the same dot product differently in
-    different blocks, so even an exact duplicate pair can come out slightly
-    off 0. Entries at or below the rounding bound 4 (d + 2) eps max(g)
-    carry no significant digit and are set to 0: this clamps D at 0 and
-    makes duplicates exactly 0 apart. The diagonal is 0.
+    One Gram product, O(d n^2) in BLAS: g_i + g_j - 2 y_i^T y_j, where Y is
+    X with each feature row centered, so that a large common offset cancels
+    no digits. D is exactly symmetric (numpy forms Y^T Y as a symmetric
+    product), with a zero diagonal. Entries at or below the rounding bound
+    4 (d + 2) eps max(g) carry no significant digit and are set to 0, which
+    clamps D at 0 and puts exact duplicates exactly 0 apart.
     """
     X = np.asarray(X, dtype=float)
     Y = X - X.mean(axis=1, keepdims=True)
@@ -97,13 +91,9 @@ def knn_affinity(X: np.ndarray, k: int) -> np.ndarray:
 
     Row i puts weight 1/k on the k nearest other samples by Euclidean
     distance and 0 elsewhere; distance ties break toward the lower sample
-    index. Uniform weights keep every row summing to exactly 1.
-
-    The neighbors come from a selection, not a sort: ``np.partition`` finds
-    each row's k-th smallest distance, every sample strictly closer is
-    taken, and the remaining places go to the samples at exactly that
-    distance, lowest index first. This picks the same k as the first k of
-    a stable sort of the row.
+    index, so the k are those a stable sort of the row puts first, found by
+    ``np.partition`` instead of a sort. Uniform weights keep every row
+    summing to exactly 1.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[1]

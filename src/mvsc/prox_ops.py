@@ -4,17 +4,15 @@ One sort-and-threshold rule (Duchi et al. 2008, projections onto the l1
 ball) serves the row-batched simplex projection that pins each row's own
 coordinate (the self-affinity) to zero, and the spectral-norm prox, which
 thresholds singular values (Cai, Candes & Shen 2010) taken from one
-decomposition of M^T M, widened at most once: its top k eigenpairs (the full
-spectrum is k = n), and the full spectrum of the same M^T M when the top k
-fall short. Elementwise soft-thresholding is the prox of the l1 norm.
+decomposition of M^T M (``prox_spectral_norm``). Elementwise
+soft-thresholding is the prox of the l1 norm.
 
 Every symmetric eigenproblem in the package goes through ``SymmetricEigh``:
 LAPACK's dsyevr (MRRR; Dhillon, Parlett & Voemel 2006) from the OpenBLAS that
 numpy's wheels bundle, which exports it as ``scipy_dsyevr_64_`` (the Fortran
 interface with 64-bit integers). It is found through numpy's own linalg
 extension, which links that library, and called with ctypes, which releases
-the GIL for the call. So a decomposition can run on a second thread while the
-first keeps computing, and the package needs no LAPACK beyond numpy's. The
+the GIL for the call, so the package needs no LAPACK beyond numpy's. The
 same library's thread-count getter and setter serve ``one_blas_thread``.
 """
 
@@ -87,31 +85,27 @@ def one_blas_thread():
 
 class SymmetricEigh:
     """One dsyevr call: eigenvalues lo..hi (0-based, ascending) of the symmetric
-    n x n ``a`` and their orthonormal eigenvectors, from a's lower triangle.
+    n x n ``a`` and their orthonormal eigenvectors, from a's lower triangle. The
+    arguments and workspace are those scipy.linalg.eigh(a, subset_by_index=(lo, hi))
+    passes to dsyevr, so the bits are the same.
 
-    The arguments are those scipy.linalg.eigh(a, subset_by_index=(lo, hi))
-    passes to dsyevr, its default for this problem, workspace size included,
-    so the bits are the same.
-    ``a`` must be an F-contiguous float64 array: the call uses it as LAPACK's
-    work matrix and destroys its lower triangle and diagonal. The constructor
-    checks that ``a`` is finite (ValueError otherwise, as eigh's check_finite),
-    saves its diagonal, allocates every buffer and sizes the workspace by
-    LAPACK's query. Calling the object runs LAPACK, with the GIL released, and
-    returns ``(values, vectors)``; after ``start(pool)`` LAPACK runs on the
-    pool's thread instead, and calling the object waits for it. Once the call
-    has returned, the object lets go of ``a``; it runs LAPACK once, so a
-    second call or ``start`` raises RuntimeError.
+    ``a`` must be an F-contiguous float64 array. The object owns it, as
+    LAPACK's work matrix, until the call returns; the call destroys its lower
+    triangle and diagonal. The constructor checks that ``a`` is finite
+    (ValueError), saves its diagonal, allocates every buffer and sizes the
+    workspace. Calling the object runs LAPACK, with the GIL released, or after
+    ``start(pool)`` waits for the pool's thread to, and returns
+    ``(values, vectors)``; it runs once, so a second call or ``start`` raises
+    RuntimeError.
 
-    One decomposition, widened at most once: a partial range (lo..hi short of
-    0..n-1) is rerun over the full range of the same matrix, on the calling
-    thread, before the object lets go of it, when dsyevr fails on it (info > 0,
-    which it does on some degenerate small inputs) or when the caller's
-    ``accept``, a test on the partial values (ascending), returns False. The
-    call returns columns lo..hi, taken from the rerun after a failure, unless
-    ``accept`` rejects them; then it returns the full range. The rerun rebuilds
-    ``a`` from its upper triangle, which dsyevr leaves intact, and the saved
-    diagonal, so an exactly symmetric ``a`` gives the bits of a fresh
-    full-range call; LinAlgError only if the rerun fails too.
+    A partial range is widened at most once: it is rerun over the full range
+    of the same matrix, on the calling thread, when dsyevr fails on it
+    (info > 0) or the caller's ``accept``, a test on the ascending partial
+    values, returns False. After a failure the call returns columns lo..hi of
+    the rerun unless ``accept`` rejects them; after a rejection, the full
+    range. The rerun rebuilds ``a`` from its intact upper triangle and the
+    saved diagonal, so a symmetric ``a`` gives the bits of a fresh full-range
+    call; LinAlgError if the rerun fails too.
     """
 
     def __init__(self, a: np.ndarray, lo: int, hi: int) -> None:
@@ -244,24 +238,21 @@ def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
 
 def partial_k(n: int) -> int:
     """The most eigenpairs of an n x n Gram matrix that a partial decomposition
-    takes: floor(n/5), at least 1. Past it the full spectrum costs no more and
-    holds n x n eigenvectors instead of n x k: on a first U-step's M^T M at
-    n = 600 (1 BLAS thread, 2-core Xeon, medians of 7), a call took 35 ms at
-    k = 60, 46 ms at k = 120, 61 ms at k = 150 and 47 ms for the full spectrum.
+    takes: floor(n/5), at least 1. The cap is a memory rule, not a time rule: a
+    partial call holds n x k eigenvectors instead of n x n, which lowers the
+    peak of a solve's first iteration, where no view has a hint yet. A wider
+    call takes the full spectrum (``gram_eigh``).
     """
     return max(n // 5, 1)
 
 
 def gram_eigh(M: np.ndarray, k_hint: int | None = None) -> SymmetricEigh:
-    """The prox's decomposition of M, ready to run: G = M^T M, formed here
-    in an F-ordered buffer, with the dsyevr call for its top k eigenpairs, where
-    k = partial_k(n) (n is M's column count) with no hint, k = k_hint + 2 with
-    one, and k = n once that passes partial_k(n): the hint says how many values
-    may clip, so ``gram_eigh(M, n)`` takes the full spectrum. It is the prox's
-    one decomposition, widened at most once: when its top k fall short, the
-    call reruns over the full spectrum of the G it holds (``SymmetricEigh``).
-    The solver starts the call on a worker thread while the view's A-, E- and
-    w-steps run.
+    """The prox's decomposition of M, ready to run: G = M^T M, formed here in an
+    F-ordered buffer that the decomposition owns, and the dsyevr call for its
+    top k eigenpairs, where k = partial_k(n) (n is M's column count) with no
+    hint, k = k_hint + 2 with one, and k = n once that passes partial_k(n): the
+    hint says how many values may clip, so ``gram_eigh(M, n)`` takes the full
+    spectrum. A top k that falls short is widened once (``SymmetricEigh``).
     """
     n = M.shape[1]
     limit = partial_k(n)
@@ -294,13 +285,11 @@ def prox_spectral_norm(M: np.ndarray, t: float,
     identity, which callers handle without the prox.
 
     s and Q come from the k largest eigenpairs of G = M^T M, taken by
-    ``first``, a ``gram_eigh(M, hint)`` possibly started on a worker thread
-    (the hint is typically the previous call's clipped count), or by
-    ``gram_eigh(M)``, the top partial_k(n), without it. theta from the top k
-    is exact once the k-th value is <= theta, since the rest then lie below
-    theta too. That is the test the prox passes to the call; a top k that
-    fails it is widened to the full spectrum of the same G, so a prox forms
-    one G and makes one decomposition, widened at most once. Then
+    ``first``, a ``gram_eigh(M, hint)`` that may already be running, or by
+    ``gram_eigh(M)`` without it. theta from the top k is exact once the k-th
+    value is <= theta, since the rest then lie below theta too; the prox
+    passes that test to the call as ``accept``, so it forms one G and makes
+    one decomposition, widened at most once. Then
     U = M - (M Q_a) diag(1 - theta/s_a) Q_a^T over the clipped set a. Values
     taken as sqrt of G's eigenvalues are exact only to the rounding bound
     sqrt(n * eps) * s_1, so when theta is at or below it everything clips:

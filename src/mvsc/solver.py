@@ -6,11 +6,8 @@ Z with sparse error E (X = XZ + E), a spectral-norm-bounded auxiliary U,
 and a feature weight vector w on the probability simplex; all views share
 one spectral embedding Q. The solver alternates exact block minimizers of
 the augmented Lagrangian with dual ascent on the three constraint gaps
-(X - XZ - E, Z - U, Z - A) under a geometrically growing penalty; the
-E-step hands over the reconstruction gap, so XZ is formed once per view and
-iteration. The U-steps' and the Q-step's LAPACK calls run on one worker
-thread, in the order they were started, while the calling thread runs the
-blocks that do not wait for them (see ``solve``).
+(X - XZ - E, Z - U, Z - A) under a geometrically growing penalty.
+``solve`` states the schedule and the lifetime rule of the state.
 """
 
 from __future__ import annotations
@@ -92,14 +89,11 @@ class SolverConfig:
 class SolverState:
     """All per-view blocks, the shared embedding, and the penalty.
 
-    Lists are indexed by view. ``z_factor`` holds per view the n x r factor
-    W = V diag(s / sqrt(s^2 + 2)), r = min(d, n), of the thin SVD
-    X = P diag(s) V^T, so that (X^T X + 2I)^-1 = (I - W W^T) / 2; it depends
-    only on the data, never on iterates, and no n x n inverse is stored.
-    ``clipped`` maps a view to how many singular values its last U-step
-    prox clipped, the next prox's hint; a view has no entry before its first.
-    An entry of Z, A or U is None between its last read and its next write
-    (see ``solve``); Z starts unset and U as the same arrays as A.
+    Lists are indexed by view; an entry of Z, A or U is None where ``solve``'s
+    lifetime rule has dropped it. ``z_factor`` holds each view's Z-step
+    factor (``z_step_factors``), which depends only on the data. ``clipped``
+    maps a view to how many singular values its last U-step prox clipped, the
+    next prox's hint; a view has no entry before its first.
     """
 
     Z: list[np.ndarray]
@@ -224,31 +218,15 @@ def _memory_budget() -> int | None:
 
 
 def _dense_bytes(dataset: MultiViewDataset) -> int:
-    """Bytes a solve holds at its peak: the dense state, E and Lam1, and scratch.
-
-    The state holds, per view, five n x n float64 matrices (Z, A, U, Lam2,
-    Lam3) and the n x min(d, n) Z-step factor: 8 n (5 n + min(d, n)) bytes.
-    Beside it a solve holds, per view, the d x n blocks E and Lam1, and one
-    view's per-iteration scratch at a time: 6 n^2 + 5 n max(d) values. The
-    figure is an upper bound: a solve never holds five n x n matrices per
-    view. initialize holds three (A, which U starts as, Lam2 and Lam3), and
-    the loop four (A, U, Lam2 and Lam3) and at most two Z's (see ``solve``).
-    The scratch figure bounds the peak of a whole solve as tracemalloc
-    measured it, less the state, E and Lam1, over all three ablation modes
-    and 15 iterations, on views of 10, 30 and 10 features: 5.3 n^2 at n = 90,
-    3.3 n^2 at n = 180, 1.2 n^2 at n = 300 and 0.8 n^2 at n = 600; on views
-    of d = 200 and 600 at n = 60, 6 n^2 plus 4.8 to 5.2 n d, within the
-    figure once the fixed term below is counted. Its
-    largest part is the U-step's: while update_u thresholds view v, view
-    v + 1's M^T M and eigenvectors are alive beside view v's M, eigenvectors
-    and result. The eigenvectors are the top partial_k(n), and n x n only when
-    the prox takes the full spectrum, after a miss or a hint past
-    partial_k(n); that happened in the first iterations at n = 90 to 180,
-    where it set the peak, while at n >= 300 every call was partial. A fixed
-    128 KiB covers the allocations that do not grow with n or d, which
-    dominate at small n: 15 iterations in a fresh interpreter, on views of
-    d = 4 and 5, peaked up to 65, 72, 69 and 49 KB above the rest of the
-    figure at n = 6, 30, 45 and 60.
+    """An upper bound on the bytes a solve holds at its peak, which initialize
+    checks against the memory budget. Per view: five n x n float64 matrices
+    (Z, A, U, Lam2, Lam3) and the n x min(d, n) Z-step factor, that is
+    8 n (5 n + min(d, n)) bytes, and the d x n blocks E and Lam1. Beside them:
+    one view's per-iteration scratch, 6 n^2 + 5 n max(d) values, whose largest
+    part is the U-step's (two views' decompositions, n x n eigenvectors when
+    the prox takes the full spectrum), and 128 KiB for the allocations that do
+    not grow with n or d. A solve holds fewer n x n matrices than this counts
+    (the lifetime rule in ``solve``).
     """
     n = dataset.n_samples
     dims = [view.n_features for view in dataset.views]
@@ -257,12 +235,10 @@ def _dense_bytes(dataset: MultiViewDataset) -> int:
 
 
 def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
-    """Starting point: the kNN graphs as A and as U (the same arrays), Z unset,
-    as no Z-step reads a Z, zero E and multipliers, uniform feature weights, and
-    Q from the Laplacian of the summed initial graphs.
-
-    When what a solve holds at its peak (``_dense_bytes``) exceeds
-    ``_memory_budget()``, this raises ValueError before allocating any n x n matrix.
+    """Starting point: the kNN graphs as A and as U (the same arrays), no Z, zero
+    E and multipliers, uniform feature weights, and Q from the Laplacian of the
+    summed graphs. Raises ValueError, before allocating any n x n matrix, when
+    ``_dense_bytes`` exceeds ``_memory_budget()``.
     """
     n = dataset.n_samples
     if not 1 <= config.k_init <= n - 1:
@@ -360,11 +336,9 @@ def u_input(state: SolverState, view: int) -> np.ndarray:
 
 
 def submit_u(state: SolverState, config: SolverConfig, view: int) -> SymmetricEigh | None:
-    """The U-step's first decomposition, ready to run: gram_eigh(M, hint) of
-    M = u_input(...), with the view's last clipped count as the hint (none before
-    the view's first prox, so it takes the top partial_k(n)). M is dropped on
-    return: the decomposition holds only M^T M and its buffers. At weight
-    lambda2/mu = 0 there is no prox, and the decomposition is None."""
+    """The U-step's decomposition, ready to run: gram_eigh(M, hint) of
+    M = u_input(...), hinted with the view's last clipped count. It owns M^T M
+    and its buffers, not M. None at weight lambda2/mu = 0, where there is no prox."""
     if config.effective_lambda2 / state.mu == 0:
         return None
     return gram_eigh(u_input(state, view), state.clipped.get(view))
@@ -372,11 +346,10 @@ def submit_u(state: SolverState, config: SolverConfig, view: int) -> SymmetricEi
 
 def update_u(state: SolverState, config: SolverConfig, view: int,
              started: SymmetricEigh | None) -> tuple[np.ndarray, float]:
-    """Spectral-norm proximal step on M = Z + Lam2/mu at weight lambda2/mu: U and the
-    objective's U term lambda2 * ||U||_2. At weight 0 it is the identity, with no prox.
-    ``started`` is submit_u's first decomposition; M is formed again here by
-    u_input, with the same bits, as Z, Lam2 and mu do not change in between. The
-    prox's clipped count becomes the view's next hint."""
+    """Spectral-norm prox of M = u_input(...) at weight lambda2/mu, through
+    ``started``, submit_u's decomposition: U and the objective's U term
+    lambda2 * ||U||_2. The clipped count becomes the view's next hint. At weight
+    0 it is the identity, with no prox."""
     M = u_input(state, view)
     if started is None:
         return M, 0.0
@@ -428,12 +401,10 @@ def _max_abs(M: np.ndarray) -> float:
 
 def update_multipliers(state: SolverState, view: int,
                        recon_gap: np.ndarray) -> tuple[float, float, float]:
-    """Dual ascent at step size mu on the three constraint gaps: ``recon_gap``,
-    X - XZ - E as update_e returned it, which is scaled in place, and Z - U and
-    Z - A formed here. Each multiplier of the view in ``state`` takes its
-    step in place by one rule, gap *= mu; lam += gap, with the bits of
-    lam + mu * gap, and each gap is freed before the next is formed. Returns
-    the gaps' max-abs entries (r_recon, r_u, r_a)."""
+    """Dual ascent at step size mu on the view's three constraint gaps:
+    ``recon_gap`` (update_e's X - XZ - E, scaled in place), Z - U and Z - A.
+    Each multiplier in ``state`` steps in place, with the bits of lam + mu * gap.
+    Returns the gaps' max-abs entries (r_recon, r_u, r_a)."""
     Z, mu = state.Z[view], state.mu
 
     def step(lam: np.ndarray, gap: np.ndarray) -> float:
@@ -465,47 +436,36 @@ def evaluate_objective(state: SolverState, config: SolverConfig, view_terms: lis
 def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
     """Run the full alternating scheme and label the samples by k-means on Q.
 
-    Per outer iteration, each view updates Z, A, U, E, w and its
-    multipliers; then the shared Q is refreshed and the penalty grows.
-    Stops when all constraint gaps fall below ``config.tol`` or the
-    iteration budget runs out. Deterministic for a fixed config and data.
-    The fused similarity's Laplacian is (1/V) sum_v L(A_v): its bottom eigenvectors span Q.
+    Per outer iteration each view updates Z, A, U, E, w and its multipliers,
+    then the shared Q is refreshed and the penalty grows. Stops when every
+    constraint gap falls below ``config.tol`` or after ``config.max_iter``
+    iterations. Deterministic for a fixed config and data. The fused
+    similarity's Laplacian is (1/V) sum_v L(A_v): its bottom eigenvectors span Q.
 
-    The work runs in two lanes, with the same bits as that order. The calling
-    thread runs every numpy step and makes every allocation; one worker thread
-    runs only LAPACK calls, in the order they were started. submit_u and
-    submit_q return their decompositions ready to run, and only solve starts
-    each one's dsyevr call on the worker (``on_worker``). Each block is
-    moved only past blocks that neither read nor write what it reads or
-    writes:
-    - the U-step's decomposition of view v (submit_u, after Z_v) runs beside
-      A_v, E_v, w_v and Z_{v+1}, whose decomposition is started before
-      update_u waits for view v's, so the worker goes on to it at once. A
-      decomposition in flight holds only M^T M and its buffers: update_u
-      forms M again from Z_v, Lam2_v and mu, which no block in between
-      writes, so at most one view's M is alive;
-    - the Q-step's decomposition (submit_q, after the last A-step, as the A's
-      are its only input) runs beside the last view's E-, w-, U- and
-      multiplier steps and the next iteration's first Z-step, as the next
-      A-step is the first block that reads Q. Only then is the iteration's
-      trace row made: E and the objective terms are still its own.
-    One lifetime rule holds for the state's per-view n x n matrices: each is
-    dropped (its entry set to None) at its last read, never kept to its next
-    write. No block writes into an array of the state except the multiplier
-    step, which steps Lam1, Lam2 and Lam3 in place (update_multipliers), so
-    the bits are those of that order. initialize sets no Z, as no Z-step
-    reads one, and starts U as the kNN graphs that are A. Every view starts
-    through start_view: Z_v, then the drop of the old U_v, whose last reader is
-    that Z-step, then the U-step's decomposition. Z_v goes after view v's
-    multiplier step, so only Z_v and the look-ahead Z_{v+1} are ever alive,
-    and the old A_v just before update_a. Between blocks the loop holds per
-    view A, U, Lam2 and Lam3, at most two Z's, and the U-step decompositions of
-    views v and v + 1 (M^T M and its buffers each). After the loop only A, Q
-    and w are kept, for k-means and the fused graph.
-    The worker lives for the call. So does a thread count of 1 for numpy's
-    OpenBLAS, unless the user set one (``one_blas_thread``): beside the worker,
-    more threads only oversubscribe the cores, and 1 was faster on 2 cores at
-    every size measured, n = 300 to 1200.
+    Schedule: two lanes, with the bits of running the steps in that order. The
+    calling thread runs every numpy step and makes every allocation; one worker
+    thread, alive for the call, runs only the dsyevr calls that solve starts
+    (``on_worker``), in the order started. A block moves only past blocks that
+    neither read nor write what it reads or writes:
+    - view v's U-step decomposition (submit_u, after Z_v) runs beside A_v, E_v,
+      w_v and Z_{v+1}, and view v + 1's is started before update_u waits for
+      view v's; update_u forms M again, as no block in between writes Z_v,
+      Lam2_v or mu;
+    - the Q-step's decomposition (submit_q, after the last A-step) runs beside
+      the last view's E-, w-, U- and multiplier steps and the next iteration's
+      first Z-step, as the next A-step is the first block that reads Q; the
+      iteration's trace row is made after that Z-step, from its own E and terms.
+
+    Lifetime rule: each per-view n x n matrix of the state is dropped (set to
+    None) at its last read, never kept to its next write: the old U_v after
+    Z_v, the old A_v before update_a, Z_v after view v's multiplier step. Only
+    the multiplier step writes into an array of the state. So between blocks
+    the loop holds per view A, U, Lam2 and Lam3, at most two Z's and two U-step
+    decompositions (M^T M and its buffers each); after the loop only A, Q and
+    w are kept, for k-means and the fused graph.
+
+    numpy's OpenBLAS runs at 1 thread for the call unless the user set a count
+    (``one_blas_thread``): beside the worker, more threads oversubscribe the cores.
     """
     state = initialize(dataset, config)
     last = state.n_views - 1
