@@ -43,7 +43,7 @@ class SolverConfig:
     lambda3: float = 0.1
     mu0: float = 1e-2
     rho: float = 1.2
-    mu_max: float = 1e6
+    mu_max: float = 1e8
     max_iter: int = 200
     tol: float = 1e-6
     k_init: int = 5
@@ -136,6 +136,21 @@ class ConvergenceTrace:
 
 @dataclass(frozen=True)
 class ClusteringResult:
+    """What ``solve`` returns, for n samples, c = ``n_clusters`` and V views.
+
+    - ``labels``: one cluster index in [0, c) per sample, from k-means on Q
+      seeded by ``config.seed``.
+    - ``Q``: the n x c shared embedding of the last iteration, each column's
+      largest-magnitude entry positive.
+    - ``fused_similarity``: the n x n graph (1/V) sum_v (A_v + A_v^T)/2 with a
+      zero diagonal, from the last iteration's A_v; its Laplacian's bottom
+      eigenvectors span Q.
+    - ``weights``: one feature weight vector per view, on the simplex.
+    - ``trace``: one row per iteration run (``ConvergenceTrace``).
+    - ``converged``: every constraint gap of the last iteration is below
+      ``config.tol``; False when the run stopped at ``config.max_iter``.
+    """
+
     labels: np.ndarray
     Q: np.ndarray
     fused_similarity: np.ndarray

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +107,17 @@ class TestConfig:
     def test_numpy_integers_accepted(self):
         cfg = SolverConfig(n_clusters=np.int64(3), max_iter=np.int32(5), seed=np.uint8(2))
         assert (cfg.n_clusters, cfg.max_iter, cfg.seed) == (3, 5, 2)
+
+    def test_readme_states_every_default(self):
+        # README's "Solver settings and defaults" paragraph names each numeric
+        # field with its default, in the form `name` value
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme.split("Solver settings and defaults:", 1)[1].split("\n\n", 1)[0]
+        stated = dict(re.findall(r"`(\w+)` (\d[\d.]*(?:e[-+]?\d+)?)\b", paragraph))
+        defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)
+                    if f.default is not dataclasses.MISSING and f.type in ("int", "float")}
+        assert stated.keys() == defaults.keys()
+        assert {name: type(defaults[name])(value) for name, value in stated.items()} == defaults
 
     def test_ablation_effects(self):
         full = SolverConfig(n_clusters=2, lambda2=0.5)
@@ -1046,6 +1058,27 @@ def same_bits(got: ClusteringResult, want: ClusteringResult) -> bool:
               for f in dataclasses.fields(got.trace)]
     return (got.iterations == want.iterations and got.converged == want.converged
             and all(a.tobytes() == b.tobytes() for a, b in pairs))
+
+
+class TestPenaltyCap:
+    def test_n300_set_converges_before_the_iteration_cap(self):
+        # at a cap of mu = 1e6 its Z = A gap cycles just above tol and the run
+        # takes every iteration it is given; the default cap lets mu grow on
+        ds = normalize(generate_synthetic(N300_SPEC), "unit_l2_per_sample")
+        result = solve(ds, SolverConfig(n_clusters=3, max_iter=150))
+        assert result.converged and result.iterations <= 135
+        assert compute_metrics(ds.labels, result.labels).acc == 1.0
+
+    @pytest.mark.parametrize("mode", ["full", "uniform_weights", "no_spectral_norm"])
+    def test_runs_that_stop_below_the_old_cap_keep_their_bits(self, mode):
+        # the acceptance noisy set converges before mu reaches 1e6, so a cap of
+        # 1e6 and the default give the same run
+        spec = SynthSpec(clusters=3, samples_per_cluster=30, view_dims=(10, 10, 10),
+                         noise_feature_counts=(0, 20, 0), seed=1)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        default = solve(ds, SolverConfig(n_clusters=3, ablation=mode))
+        assert default.converged and default.trace.mu.max() < 1e6
+        assert same_bits(default, solve(ds, SolverConfig(n_clusters=3, ablation=mode, mu_max=1e6)))
 
 
 class TestBlasThreads:
