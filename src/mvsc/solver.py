@@ -41,7 +41,7 @@ class SolverConfig:
     lambda1: float = 1e-3
     lambda2: float = 0.1
     lambda3: float = 0.1
-    mu0: float = 1e-2
+    mu0: float = 0.3
     rho: float = 1.2
     mu_max: float = 1e8
     max_iter: int = 200

@@ -844,8 +844,10 @@ class TestSolve:
         assert np.array_equal(r1.trace.mu, r2.trace.mu)
 
     def test_degenerate_tiny_set_converges(self):
-        # dsyevr fails (info > 0) on a Q-step's bottom three eigenpairs of this
-        # set's Laplacian, and the full-range rerun answers it
+        # two samples per cluster: the run must still stop with every label
+        # right. Its two full-range dsyevr reruns are U-step top-1 calls that
+        # the clip test rejected; from a penalty start of mu0 = 0.45 on, the run
+        # loses one label here
         spec = SynthSpec(clusters=3, samples_per_cluster=2, view_dims=(4, 5), seed=3)
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
         result = solve(ds, SolverConfig(n_clusters=3))
@@ -1060,10 +1062,46 @@ def same_bits(got: ClusteringResult, want: ClusteringResult) -> bool:
             and all(a.tobytes() == b.tobytes() for a, b in pairs))
 
 
+class TestPenaltyStart:
+    def test_criterion_5_set_stops_within_80_iterations(self):
+        # the start mu0 sets how many growth steps the penalty needs before the
+        # gaps close: this set takes 73 iterations from 0.3 and 93 from 1e-2
+        spec = SynthSpec(3, 30, (10, 10, 10), seed=1)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        result = solve(ds, SolverConfig(n_clusters=3))
+        assert result.converged and result.iterations <= 80
+        assert compute_metrics(ds.labels, result.labels).acc == 1.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_overlapping_clusters_keep_most_of_the_knn_start(self, seed):
+        # five clusters 2 standard deviations apart, 40 noise features on view 2:
+        # k-means on the kNN start reads ACC 0.813-0.840 here; from mu0 = 1e-2
+        # the full model ended at 0.580-0.760, from the default at 0.800-0.880
+        spec = SynthSpec(clusters=5, samples_per_cluster=30, view_dims=(10, 10, 10),
+                         between_cluster_separation=2.0, noise_feature_counts=(0, 40, 0),
+                         seed=seed)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        result = solve(ds, SolverConfig(n_clusters=5))
+        assert compute_metrics(ds.labels, result.labels).acc >= 0.78
+
+
 class TestPenaltyCap:
+    def test_readme_names_the_first_iteration_past_the_old_cap(self):
+        # README's "Penalty cap" paragraph gives the iteration in which the
+        # default penalty first passes 1e6, derived here from the defaults
+        defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+        mu, iteration = defaults["mu0"], 1
+        while mu <= 1e6:
+            mu, iteration = min(defaults["rho"] * mu, defaults["mu_max"]), iteration + 1
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        stated = re.search(r"penalty first passes 1e6 in iteration (\d+), so a run that stops "
+                           r"within (\d+) iterations", " ".join(readme.split()))
+        assert stated and stated.groups() == (str(iteration), str(iteration - 1))
+
     def test_n300_set_converges_before_the_iteration_cap(self):
-        # at a cap of mu = 1e6 its Z = A gap cycles just above tol and the run
-        # takes every iteration it is given; the default cap lets mu grow on
+        # the default cap lets mu grow past 1e6, where this set's Z = A gap can
+        # cycle just above tol: from mu0 = 1e-2 a cap of 1e6 never stops it, and
+        # from the default start it stops in 129 iterations at 1e6, 113 at 1e8
         ds = normalize(generate_synthetic(N300_SPEC), "unit_l2_per_sample")
         result = solve(ds, SolverConfig(n_clusters=3, max_iter=150))
         assert result.converged and result.iterations <= 135
@@ -1071,8 +1109,8 @@ class TestPenaltyCap:
 
     @pytest.mark.parametrize("mode", ["full", "uniform_weights", "no_spectral_norm"])
     def test_runs_that_stop_below_the_old_cap_keep_their_bits(self, mode):
-        # the acceptance noisy set converges before mu reaches 1e6, so a cap of
-        # 1e6 and the default give the same run
+        # the acceptance noisy set converges within 83 iterations, before mu
+        # passes 1e6, so a cap of 1e6 and the default give the same run
         spec = SynthSpec(clusters=3, samples_per_cluster=30, view_dims=(10, 10, 10),
                          noise_feature_counts=(0, 20, 0), seed=1)
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
