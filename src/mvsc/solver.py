@@ -6,7 +6,8 @@ Z with sparse error E (X = XZ + E), a spectral-norm-bounded auxiliary U,
 and a feature weight vector w on the probability simplex; all views share
 one spectral embedding Q. The solver alternates exact block minimizers of
 the augmented Lagrangian with dual ascent on the three constraint gaps
-(X - XZ - E, Z - U, Z - A) under a geometrically growing penalty.
+(X - XZ - E, Z - U, Z - A) under a geometrically growing penalty, which the
+reconstruction gap carries times a per-view weight.
 ``solve`` states the schedule and the lifetime rule of the state.
 """
 
@@ -26,6 +27,10 @@ from .prox_ops import one_blas_thread, prox_spectral_norm, soft_threshold
 from .spectral import kmeans, smallest_eigvecs
 
 ABLATION_MODES = ("full", "uniform_weights", "no_spectral_norm")
+
+# alpha in each view's reconstruction weight kappa = alpha n / ||X||_F^2; the sweep
+# behind 1/2 is under README "Measurements"
+RECON_WEIGHT_ALPHA = 0.5
 
 
 @dataclass(frozen=True)
@@ -90,10 +95,14 @@ class SolverState:
     """All per-view blocks, the shared embedding, and the penalty.
 
     Lists are indexed by view; an entry of Z, A or U is None where ``solve``'s
-    lifetime rule has dropped it. ``z_factor`` holds each view's Z-step
-    factor (``z_step_factors``), which depends only on the data. ``clipped``
-    maps a view to how many singular values its last U-step prox clipped, the
-    next prox's hint; a view has no entry before its first.
+    lifetime rule has dropped it. ``kappa`` holds each view's reconstruction
+    weight (``reconstruction_weights``): the constraint X = XZ + E of view v
+    carries the penalty kappa_v mu and its multiplier steps by kappa_v mu, while
+    Z = U and Z = A carry mu. A state built without it gets kappa = 1 per view,
+    the unweighted augmented Lagrangian. ``z_factor`` holds each view's Z-step
+    factor (``z_step_factors``) at that kappa, which depends only on the data.
+    ``clipped`` maps a view to how many singular values its last U-step prox
+    clipped, the next prox's hint; a view has no entry before its first.
     """
 
     Z: list[np.ndarray]
@@ -108,6 +117,11 @@ class SolverState:
     mu: float
     z_factor: list[np.ndarray] = field(default_factory=list, repr=False)
     clipped: dict[int, int] = field(default_factory=dict)
+    kappa: list[float] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not self.kappa:
+            self.kappa = [1.0] * len(self.Z)
 
     @property
     def n_views(self) -> int:
@@ -116,7 +130,8 @@ class SolverState:
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
-    """Per-iteration objective value, constraint gaps (max-abs entry), and penalty."""
+    """Per-iteration objective value, constraint gaps (max-abs entry, in data
+    units whatever the views' reconstruction weights), and penalty."""
 
     objective: np.ndarray
     r_recon: np.ndarray
@@ -163,18 +178,32 @@ class ClusteringResult:
         return len(self.trace)
 
 
-def z_step_factors(dataset: MultiViewDataset) -> list[np.ndarray]:
-    """The Z-step factor W = V diag(s / sqrt(s^2 + 2)) per view, n x min(d, n).
+def reconstruction_weights(dataset: MultiViewDataset) -> list[float]:
+    """Each view's reconstruction weight kappa = alpha n / ||X||_F^2, alpha =
+    ``RECON_WEIGHT_ALPHA``, which puts the constraint X = XZ + E on the scale of
+    Z = U and Z = A in the Z-step, whatever the data's units. A view whose
+    features are all zero, where kappa moves no block, gets kappa = 1."""
+    weights = []
+    for view in dataset.views:
+        sq = float(np.vdot(view.values, view.values))
+        weights.append(RECON_WEIGHT_ALPHA * dataset.n_samples / sq if sq > 0 else 1.0)
+    return weights
 
-    From the thin SVD X = P diag(s) V^T, X^T X + 2I has eigenvalue s^2 + 2 on
-    V's columns and 2 on their complement, so its inverse is
+
+def z_step_factors(dataset: MultiViewDataset,
+                   kappa: list[float] | None = None) -> list[np.ndarray]:
+    """The Z-step factor W = V diag(sqrt(k) s / sqrt(k s^2 + 2)) per view,
+    n x min(d, n), at the view's reconstruction weight k (1 without ``kappa``).
+
+    From the thin SVD X = P diag(s) V^T, k X^T X + 2I has eigenvalue k s^2 + 2
+    on V's columns and 2 on their complement, so its inverse is
     (I - W W^T) / 2. One code path serves d < n and d >= n, and a
     rank-deficient X only adds zero columns to W.
     """
     factors = []
-    for view in dataset.views:
+    for view, k in zip(dataset.views, kappa or [1.0] * len(dataset.views)):
         _, s, Vt = np.linalg.svd(view.values, full_matrices=False)
-        factors.append(Vt.T * (s / np.sqrt(s * s + 2.0)))
+        factors.append(Vt.T * (np.sqrt(k) * s / np.sqrt(k * s * s + 2.0)))
     return factors
 
 
@@ -251,8 +280,9 @@ def _dense_bytes(dataset: MultiViewDataset) -> int:
 
 def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
     """Starting point: the kNN graphs as A and as U (the same arrays), no Z, zero
-    E and multipliers, uniform feature weights, and Q from the Laplacian of the
-    summed graphs. Raises ValueError, before allocating any n x n matrix, when
+    E and multipliers, uniform feature weights, Q from the Laplacian of the
+    summed graphs, and each view's reconstruction weight with its Z-step factor.
+    Raises ValueError, before allocating any n x n matrix, when
     ``_dense_bytes`` exceeds ``_memory_budget()``.
     """
     n = dataset.n_samples
@@ -270,26 +300,28 @@ def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
     A = [knn_affinity(view.values, config.k_init) for view in dataset.views]
     Q, _ = update_q(submit_q(A, config.n_clusters))
     views = dataset.views
+    kappa = reconstruction_weights(dataset)
     return SolverState(Z=[None] * len(A), A=A, U=list(A),
                        E=[np.zeros(view.values.shape) for view in views],
                        Lam1=[np.zeros(view.values.shape) for view in views],
                        Lam2=[np.zeros((n, n)) for _ in views],
                        Lam3=[np.zeros((n, n)) for _ in views],
                        w=[np.full(view.n_features, 1.0 / view.n_features) for view in views],
-                       Q=Q, mu=config.mu0, z_factor=z_step_factors(dataset))
+                       Q=Q, mu=config.mu0, z_factor=z_step_factors(dataset, kappa), kappa=kappa)
 
 
 def update_z(state: SolverState, dataset: MultiViewDataset, view: int) -> np.ndarray:
-    """Closed-form ridge system (X^T X + 2I) Z = R with R = X^T V1 + V2 + V3.
+    """Closed-form ridge system (k X^T X + 2I) Z = R with R = X^T V1 + V2 + V3,
+    k the view's reconstruction weight (``SolverState.kappa``).
 
-    V1 = X - E + Lam1/mu, V2 = U - Lam2/mu, V3 = A - Lam3/mu; R is summed in
-    place. The solution (R - W (W^T R)) / 2 uses the view's cached factor W
-    (``z_step_factors``): two thin products, O(min(d, n) n^2).
+    V1 = k (X - E) + Lam1/mu, V2 = U - Lam2/mu, V3 = A - Lam3/mu; R is summed
+    in place. The solution (R - W (W^T R)) / 2 uses the view's cached factor W
+    (``z_step_factors`` at k): two thin products, O(min(d, n) n^2).
     """
     X = dataset.views[view].values
     W = state.z_factor[view]
     mu = state.mu
-    rhs = X.T @ (X - state.E[view] + state.Lam1[view] / mu)
+    rhs = X.T @ (state.kappa[view] * (X - state.E[view]) + state.Lam1[view] / mu)
     rhs += state.U[view]
     rhs += state.A[view]
     rhs -= (state.Lam2[view] + state.Lam3[view]) / mu
@@ -375,11 +407,13 @@ def update_u(state: SolverState, config: SolverConfig, view: int,
 
 def update_e(state: SolverState, dataset: MultiViewDataset, config: SolverConfig,
              view: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shrinkage of the residual R + Lam1/mu at lambda3/mu, R = X - XZ: E and the
-    reconstruction gap R - E at it, which update_multipliers takes."""
+    """Shrinkage of the residual R + Lam1/(k mu) at lambda3/(k mu), R = X - XZ,
+    k the view's reconstruction weight: E and the reconstruction gap R - E at
+    it, in data units, which update_multipliers takes."""
     X = dataset.views[view].values
     R = X - X @ state.Z[view]
-    E = soft_threshold(R + state.Lam1[view] / state.mu, config.lambda3 / state.mu)
+    kmu = state.kappa[view] * state.mu
+    E = soft_threshold(R + state.Lam1[view] / kmu, config.lambda3 / kmu)
     return E, R - E
 
 
@@ -416,20 +450,22 @@ def _max_abs(M: np.ndarray) -> float:
 
 def update_multipliers(state: SolverState, view: int,
                        recon_gap: np.ndarray) -> tuple[float, float, float]:
-    """Dual ascent at step size mu on the view's three constraint gaps:
-    ``recon_gap`` (update_e's X - XZ - E, scaled in place), Z - U and Z - A.
-    Each multiplier in ``state`` steps in place, with the bits of lam + mu * gap.
-    Returns the gaps' max-abs entries (r_recon, r_u, r_a)."""
+    """Dual ascent on the view's three constraint gaps: ``recon_gap`` (update_e's
+    X - XZ - E, scaled in place) at step size k mu, k the view's reconstruction
+    weight, and Z - U and Z - A at mu. Each multiplier in ``state`` steps in
+    place, with the bits of lam + step * gap. Returns the gaps' max-abs entries
+    (r_recon, r_u, r_a), in data units."""
     Z, mu = state.Z[view], state.mu
 
-    def step(lam: np.ndarray, gap: np.ndarray) -> float:
+    def step(lam: np.ndarray, gap: np.ndarray, size: float) -> float:
         norm = _max_abs(gap)
-        gap *= mu
+        gap *= size
         lam += gap
         return norm
 
-    return (step(state.Lam1[view], recon_gap), step(state.Lam2[view], Z - state.U[view]),
-            step(state.Lam3[view], Z - state.A[view]))
+    return (step(state.Lam1[view], recon_gap, state.kappa[view] * mu),
+            step(state.Lam2[view], Z - state.U[view], mu),
+            step(state.Lam3[view], Z - state.A[view], mu))
 
 
 def step_mu(state: SolverState, config: SolverConfig) -> float:

@@ -59,11 +59,14 @@ def augmented_lagrangian(state, dataset, config) -> float:
     """The augmented Lagrangian at ``state``, from its definition: per view,
     sum_ij A_ij (sum_k w_k^2 (x_ki - x_kj)^2 + lambda1 ||q_i - q_j||^2)
     + lambda2 ||U||_2 + lambda3 ||E||_1 (lambda2 as the ablation applies it),
-    plus <Lam, gap> + (mu/2) ||gap||_F^2
-    for the gaps X - XZ - E, Z - U and Z - A. Distances are formed from
-    explicit pairwise differences. Every block update must not increase it."""
+    plus <Lam, gap> + (p/2) ||gap||_F^2
+    for the gaps X - XZ - E at p = kappa_v mu, and Z - U and Z - A at p = mu,
+    with kappa_v the state's reconstruction weight of view v (1 when the state
+    has none). Distances are formed from explicit pairwise differences. Every
+    block update must not increase it."""
     Q = state.Q
     embed = ((Q[:, None, :] - Q[None, :, :]) ** 2).sum(axis=2)
+    kappa = getattr(state, "kappa", None) or [1.0] * len(dataset.views)
     total = 0.0
     for v, view in enumerate(dataset.views):
         X, Z = view.values, state.Z[v]
@@ -72,10 +75,11 @@ def augmented_lagrangian(state, dataset, config) -> float:
         total += float((state.A[v] * (feature + config.lambda1 * embed)).sum())
         total += config.effective_lambda2 * float(np.linalg.norm(state.U[v], 2))
         total += config.lambda3 * float(np.abs(state.E[v]).sum())
-        for lam, gap in ((state.Lam1[v], X - X @ Z - state.E[v]),
-                         (state.Lam2[v], Z - state.U[v]),
-                         (state.Lam3[v], Z - state.A[v])):
-            total += float((lam * gap).sum()) + 0.5 * state.mu * float((gap * gap).sum())
+        for lam, gap, weight in ((state.Lam1[v], X - X @ Z - state.E[v], kappa[v]),
+                                 (state.Lam2[v], Z - state.U[v], 1.0),
+                                 (state.Lam3[v], Z - state.A[v], 1.0)):
+            total += (float((lam * gap).sum())
+                      + 0.5 * weight * state.mu * float((gap * gap).sum()))
     return total
 
 
