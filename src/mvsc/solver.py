@@ -6,8 +6,8 @@ Z with sparse error E (X = XZ + E), a spectral-norm-bounded auxiliary U,
 and a feature weight vector w on the probability simplex; all views share
 one spectral embedding Q. The solver alternates exact block minimizers of
 the augmented Lagrangian with dual ascent on the three constraint gaps
-(X - XZ - E, Z - U, Z - A) under a geometrically growing penalty, which the
-reconstruction gap carries times a per-view weight.
+(X - XZ - E, Z - U, Z - A) under a growing penalty, which the reconstruction
+gap carries times a per-view weight and the Z = A gap times a fixed one.
 ``solve`` states the schedule and the lifetime rule of the state.
 """
 
@@ -31,6 +31,11 @@ ABLATION_MODES = ("full", "uniform_weights", "no_spectral_norm")
 # alpha in each view's reconstruction weight kappa = alpha n / ||X||_F^2; the sweep
 # behind 1/2 is under README "Measurements"
 RECON_WEIGHT_ALPHA = 0.5
+# beta, the Z = A constraint's penalty weight, and tau, the sine of the embedding's
+# largest principal angle between iterations below which the penalty may take rho^2
+# steps (``step_mu``); the sweep behind both is under README "Measurements"
+GRAPH_WEIGHT_BETA = 1.5
+SETTLED_SIN_TAU = 1e-4
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,8 @@ class SolverConfig:
 
     lambda1 weighs the shared-embedding consistency term, lambda2 the
     spectral norm of U, lambda3 the sparse reconstruction error. The
-    penalty grows as mu <- min(rho * mu, mu_max) once per outer iteration.
+    penalty grows once per outer iteration, by rho or rho^2 (``step_mu``),
+    and saturates at mu_max.
     """
 
     n_clusters: int
@@ -97,10 +103,11 @@ class SolverState:
     Lists are indexed by view; an entry of Z, A or U is None where ``solve``'s
     lifetime rule has dropped it. ``kappa`` holds each view's reconstruction
     weight (``reconstruction_weights``): the constraint X = XZ + E of view v
-    carries the penalty kappa_v mu and its multiplier steps by kappa_v mu, while
-    Z = U and Z = A carry mu. A state built without it gets kappa = 1 per view,
-    the unweighted augmented Lagrangian. ``z_factor`` holds each view's Z-step
-    factor (``z_step_factors``) at that kappa, which depends only on the data.
+    carries the penalty kappa_v mu and its multiplier steps by kappa_v mu; likewise
+    Z = A carries ``beta`` mu, and Z = U carries mu. A state built without them
+    gets kappa = 1 per view and beta = 1, the unweighted augmented Lagrangian.
+    ``z_factor`` holds each view's Z-step factor (``z_step_factors``) at that
+    kappa and beta, which depends only on the data.
     ``clipped`` maps a view to how many singular values its last U-step prox
     clipped, the next prox's hint; a view has no entry before its first.
     """
@@ -118,6 +125,7 @@ class SolverState:
     z_factor: list[np.ndarray] = field(default_factory=list, repr=False)
     clipped: dict[int, int] = field(default_factory=dict)
     kappa: list[float] = field(default_factory=list)
+    beta: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.kappa:
@@ -131,13 +139,17 @@ class SolverState:
 @dataclass(frozen=True)
 class ConvergenceTrace:
     """Per-iteration objective value, constraint gaps (max-abs entry, in data
-    units whatever the views' reconstruction weights), and penalty."""
+    units whatever the constraints' penalty weights), penalty, and ``q_sin``: the
+    sine of the largest principal angle between the embeddings of the iteration
+    and of the one before (``initialize``'s for the first), which ``step_mu``
+    reads."""
 
     objective: np.ndarray
     r_recon: np.ndarray
     r_u: np.ndarray
     r_a: np.ndarray
     mu: np.ndarray
+    q_sin: np.ndarray
 
     def __len__(self) -> int:
         return self.objective.size
@@ -190,20 +202,21 @@ def reconstruction_weights(dataset: MultiViewDataset) -> list[float]:
     return weights
 
 
-def z_step_factors(dataset: MultiViewDataset,
-                   kappa: list[float] | None = None) -> list[np.ndarray]:
-    """The Z-step factor W = V diag(sqrt(k) s / sqrt(k s^2 + 2)) per view,
-    n x min(d, n), at the view's reconstruction weight k (1 without ``kappa``).
+def z_step_factors(dataset: MultiViewDataset, kappa: list[float] | None = None,
+                   beta: float = 1.0) -> list[np.ndarray]:
+    """The Z-step factor W = V diag(sqrt(k) s / sqrt(k s^2 + 1 + beta)) per view,
+    n x min(d, n), at the view's reconstruction weight k (1 without ``kappa``)
+    and the Z = A weight ``beta``.
 
-    From the thin SVD X = P diag(s) V^T, k X^T X + 2I has eigenvalue k s^2 + 2
-    on V's columns and 2 on their complement, so its inverse is
-    (I - W W^T) / 2. One code path serves d < n and d >= n, and a
-    rank-deficient X only adds zero columns to W.
+    From the thin SVD X = P diag(s) V^T, k X^T X + (1 + beta) I has eigenvalue
+    k s^2 + 1 + beta on V's columns and 1 + beta on their complement, so its
+    inverse is (I - W W^T) / (1 + beta). One code path serves d < n and d >= n,
+    and a rank-deficient X only adds zero columns to W.
     """
     factors = []
     for view, k in zip(dataset.views, kappa or [1.0] * len(dataset.views)):
         _, s, Vt = np.linalg.svd(view.values, full_matrices=False)
-        factors.append(Vt.T * (np.sqrt(k) * s / np.sqrt(k * s * s + 2.0)))
+        factors.append(Vt.T * (np.sqrt(k) * s / np.sqrt(k * s * s + (1.0 + beta))))
     return factors
 
 
@@ -281,7 +294,8 @@ def _dense_bytes(dataset: MultiViewDataset) -> int:
 def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
     """Starting point: the kNN graphs as A and as U (the same arrays), no Z, zero
     E and multipliers, uniform feature weights, Q from the Laplacian of the
-    summed graphs, and each view's reconstruction weight with its Z-step factor.
+    summed graphs, each view's reconstruction weight, the Z = A weight
+    ``GRAPH_WEIGHT_BETA``, and the Z-step factors at them.
     Raises ValueError, before allocating any n x n matrix, when
     ``_dense_bytes`` exceeds ``_memory_budget()``.
     """
@@ -307,41 +321,44 @@ def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
                        Lam2=[np.zeros((n, n)) for _ in views],
                        Lam3=[np.zeros((n, n)) for _ in views],
                        w=[np.full(view.n_features, 1.0 / view.n_features) for view in views],
-                       Q=Q, mu=config.mu0, z_factor=z_step_factors(dataset, kappa), kappa=kappa)
+                       Q=Q, mu=config.mu0, kappa=kappa, beta=GRAPH_WEIGHT_BETA,
+                       z_factor=z_step_factors(dataset, kappa, GRAPH_WEIGHT_BETA))
 
 
 def update_z(state: SolverState, dataset: MultiViewDataset, view: int) -> np.ndarray:
-    """Closed-form ridge system (k X^T X + 2I) Z = R with R = X^T V1 + V2 + V3,
-    k the view's reconstruction weight (``SolverState.kappa``).
+    """Closed-form ridge system (k X^T X + (1 + b) I) Z = R with
+    R = X^T V1 + V2 + V3, k the view's reconstruction weight and b the Z = A
+    weight (``SolverState.kappa`` and ``beta``).
 
-    V1 = k (X - E) + Lam1/mu, V2 = U - Lam2/mu, V3 = A - Lam3/mu; R is summed
-    in place. The solution (R - W (W^T R)) / 2 uses the view's cached factor W
-    (``z_step_factors`` at k): two thin products, O(min(d, n) n^2).
+    V1 = k (X - E) + Lam1/mu, V2 = U - Lam2/mu, V3 = b A - Lam3/mu; R is summed
+    in place. The solution (R - W (W^T R)) / (1 + b) uses the view's cached
+    factor W (``z_step_factors`` at k and b): two thin products, O(min(d, n) n^2).
     """
     X = dataset.views[view].values
     W = state.z_factor[view]
-    mu = state.mu
+    mu, beta = state.mu, state.beta
     rhs = X.T @ (state.kappa[view] * (X - state.E[view]) + state.Lam1[view] / mu)
     rhs += state.U[view]
-    rhs += state.A[view]
+    rhs += beta * state.A[view]
     rhs -= (state.Lam2[view] + state.Lam3[view]) / mu
     rhs -= W @ (W.T @ rhs)
-    rhs *= 0.5
+    rhs /= 1.0 + beta
     return rhs
 
 
 def update_a(state: SolverState, dataset: MultiViewDataset, config: SolverConfig,
              view: int) -> np.ndarray:
-    """Row-wise simplex projection, a_ii pinned to 0, of Z + (Lam3 - D)/mu, where the
-    edge cost D_ij = sum_k w_k^2 (x_ki - x_kj)^2 + lambda1 ||q_i - q_j||^2 is what
-    sum(D * A), the distance plus embedding term, charges for A. The projection's
-    input is built in D's own buffer, with no second n x n array."""
+    """Row-wise simplex projection, a_ii pinned to 0, of Z + (Lam3 - D)/(b mu), b the
+    Z = A weight, where the edge cost D_ij = sum_k w_k^2 (x_ki - x_kj)^2
+    + lambda1 ||q_i - q_j||^2 is what sum(D * A), the distance plus embedding
+    term, charges for A. The projection's input is built in D's own buffer, with
+    no second n x n array."""
     X, Q = dataset.views[view].values, state.Q
     # one weighted distance matrix over X stacked on Q^T, whose rows take weight sqrt(lambda1)
     weights = np.concatenate([state.w[view], np.full(Q.shape[1], np.sqrt(config.lambda1))])
     D = weighted_sq_distances(np.vstack([X, Q.T]), weights)
     np.subtract(state.Lam3[view], D, out=D)
-    D /= state.mu
+    D /= state.beta * state.mu
     D += state.Z[view]
     return _project_rows_simplex_zero_diag(D)
 
@@ -363,6 +380,14 @@ def _fix_signs(Q: np.ndarray) -> np.ndarray:
     signs = np.sign(Q[idx, np.arange(Q.shape[1])])
     signs[signs == 0] = 1.0
     return Q * signs
+
+
+def subspace_sin(P: np.ndarray, Q: np.ndarray) -> float:
+    """The sine of the largest principal angle between the column spans of the
+    orthonormal n x c matrices P and Q, sqrt(1 - s^2) with s the smallest
+    singular value of P^T Q, that angle's cosine: one c x c SVD."""
+    s = min(float(np.linalg.svd(P.T @ Q, compute_uv=False)[-1]), 1.0)
+    return float(np.sqrt((1.0 - s) * (1.0 + s)))
 
 
 def update_q(decomposition: SymmetricEigh) -> tuple[np.ndarray, float]:
@@ -452,9 +477,9 @@ def update_multipliers(state: SolverState, view: int,
                        recon_gap: np.ndarray) -> tuple[float, float, float]:
     """Dual ascent on the view's three constraint gaps: ``recon_gap`` (update_e's
     X - XZ - E, scaled in place) at step size k mu, k the view's reconstruction
-    weight, and Z - U and Z - A at mu. Each multiplier in ``state`` steps in
-    place, with the bits of lam + step * gap. Returns the gaps' max-abs entries
-    (r_recon, r_u, r_a), in data units."""
+    weight, Z - U at mu and Z - A at b mu, b the Z = A weight. Each multiplier in
+    ``state`` steps in place, with the bits of lam + step * gap. Returns the gaps'
+    max-abs entries (r_recon, r_u, r_a), in data units."""
     Z, mu = state.Z[view], state.mu
 
     def step(lam: np.ndarray, gap: np.ndarray, size: float) -> float:
@@ -465,12 +490,19 @@ def update_multipliers(state: SolverState, view: int,
 
     return (step(state.Lam1[view], recon_gap, state.kappa[view] * mu),
             step(state.Lam2[view], Z - state.U[view], mu),
-            step(state.Lam3[view], Z - state.A[view], mu))
+            step(state.Lam3[view], Z - state.A[view], state.beta * mu))
 
 
-def step_mu(state: SolverState, config: SolverConfig) -> float:
-    """Geometric penalty growth, saturating at mu_max."""
-    return min(config.rho * state.mu, config.mu_max)
+def step_mu(state: SolverState, config: SolverConfig, q_sin: float = np.inf,
+            gaps=(0.0, 0.0, 0.0)) -> float:
+    """The next penalty, min(rho^2 mu, mu_max) once the embedding has settled,
+    ``q_sin`` (``subspace_sin`` of the last two embeddings) below
+    ``SETTLED_SIN_TAU``, while the reconstruction gap is the largest of ``gaps``
+    (r_recon, r_u, r_a); min(rho mu, mu_max) otherwise, as without them."""
+    rho = config.rho
+    if q_sin < SETTLED_SIN_TAU and gaps[0] >= max(gaps[1], gaps[2]):
+        rho *= config.rho
+    return min(rho * state.mu, config.mu_max)
 
 
 def evaluate_objective(state: SolverState, config: SolverConfig, view_terms: list[float],
@@ -488,7 +520,9 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
     """Run the full alternating scheme and label the samples by k-means on Q.
 
     Per outer iteration each view updates Z, A, U, E, w and its multipliers,
-    then the shared Q is refreshed and the penalty grows. Stops when every
+    then the shared Q is refreshed and the penalty grows (``step_mu``, from the
+    iteration's gaps and the last two embeddings that have landed, so the rule
+    never waits for the Q-step in flight). Stops when every
     constraint gap falls below ``config.tol`` or after ``config.max_iter``
     iterations. Deterministic for a fixed config and data. The fused
     similarity's Laplacian is (1/V) sum_v L(A_v): its bottom eigenvectors span Q.
@@ -524,6 +558,7 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
     converged = False
     view_terms, gaps = [0.0] * state.n_views, [None] * state.n_views
     q_step, row_tail = None, ()  # the Q-step in flight and its iteration's gaps and mu
+    q_sin = np.inf  # subspace_sin of the last two embeddings that have landed
 
     def on_worker(decomposition: SymmetricEigh | None) -> SymmetricEigh | None:
         if decomposition is not None:  # submit_u's None at weight 0 has no LAPACK call
@@ -536,8 +571,11 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
         return on_worker(submit_u(state, config, v))
 
     def close_iteration() -> None:
-        state.Q, eig_sum = update_q(q_step)
-        rows.append((evaluate_objective(state, config, view_terms, eig_sum), *row_tail))
+        nonlocal q_sin
+        Q, eig_sum = update_q(q_step)
+        q_sin = subspace_sin(state.Q, Q)
+        state.Q = Q
+        rows.append((evaluate_objective(state, config, view_terms, eig_sum), *row_tail, q_sin))
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         for _ in range(config.max_iter):
@@ -562,7 +600,7 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
             if worst.max() < config.tol:
                 converged = True
                 break
-            state.mu = step_mu(state, config)
+            state.mu = step_mu(state, config, q_sin, worst)
         if q_step is not None:
             close_iteration()
 

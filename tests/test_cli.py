@@ -117,7 +117,7 @@ class TestCluster:
         assert len(manifest["weights"]) == 3
         trace = Path(str(out.with_suffix(".trace.csv")))
         lines = trace.read_text().splitlines()
-        assert lines[0] == "iteration,objective,r_recon,r_u,r_a,mu"
+        assert lines[0] == "iteration,objective,r_recon,r_u,r_a,mu,q_sin"
         assert len(lines) == manifest["iterations"] + 1
 
     def test_zero_budget(self, synth_dir, tmp_path):
@@ -127,7 +127,7 @@ class TestCluster:
         assert manifest["converged"] is False
         assert manifest["iterations"] == 0
         trace_lines = out.with_suffix(".trace.csv").read_text().splitlines()
-        assert trace_lines == ["iteration,objective,r_recon,r_u,r_a,mu"]
+        assert trace_lines == ["iteration,objective,r_recon,r_u,r_a,mu,q_sin"]
 
     def test_ablation_token_eq6_echoed(self, synth_dir, tmp_path):
         out = tmp_path / "eq6.json"

@@ -20,7 +20,7 @@ from mvsc.data import (
 from mvsc.metrics import MetricReport
 from mvsc.solver import ConvergenceTrace
 
-TRACE_HEADER = "iteration,objective,r_recon,r_u,r_a,mu\n"
+TRACE_HEADER = "iteration,objective,r_recon,r_u,r_a,mu,q_sin\n"
 
 
 def run(*argv):
@@ -53,17 +53,18 @@ class TestPinnedBytes:
     def test_trace_csv(self, tmp_path):
         trace = ConvergenceTrace(objective=np.array([0.1, 1 / 3]),
                                  r_recon=np.array([2.5e-300, 0.0]), r_u=np.array([1e6, -0.0]),
-                                 r_a=np.array([1.0, 0.5]), mu=np.array([0.01, 1.2 ** 3 * 0.01]))
+                                 r_a=np.array([1.0, 0.5]), mu=np.array([0.01, 1.2 ** 3 * 0.01]),
+                                 q_sin=np.array([1.0, 5e-5]))
         trace.write_csv(tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_text() == (
             TRACE_HEADER
-            + "0,0.10000000000000001,2.5e-300,1000000,1,0.01\n"
-            + "1,0.33333333333333331,0,-0,0.5,0.017279999999999997\n"
+            + "0,0.10000000000000001,2.5e-300,1000000,1,0.01,1\n"
+            + "1,0.33333333333333331,0,-0,0.5,0.017279999999999997,5.0000000000000002e-05\n"
         )
 
     def test_zero_iteration_trace_is_header_only(self, tmp_path):
         empty = np.zeros(0)
-        ConvergenceTrace(empty, empty, empty, empty, empty).write_csv(tmp_path / "t.csv")
+        ConvergenceTrace(empty, empty, empty, empty, empty, empty).write_csv(tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_text() == TRACE_HEADER
 
     def test_sweep_row(self, tiny_dir, tmp_path, monkeypatch):
@@ -89,7 +90,7 @@ class TestPinnedBytes:
         monkeypatch.setattr("mvsc.cli.solve", lambda ds, config: SimpleNamespace(
             labels=np.array([0, 0, 1, 1]), fused_similarity=fused,
             weights=[np.full(2, 0.5), np.ones(1)], converged=False, iterations=0,
-            trace=ConvergenceTrace(empty, empty, empty, empty, empty)))
+            trace=ConvergenceTrace(empty, empty, empty, empty, empty, empty)))
         out = tmp_path / "sim.csv"
         assert run("cluster", tiny_dir, "--clusters", 2, "-o", tmp_path / "run.json",
                    "--similarity-out", out) == 0

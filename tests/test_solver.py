@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import re
 import sys
 import threading
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 import mvsc.solver
@@ -18,7 +20,9 @@ from mvsc.graph_ops import knn_affinity, laplacian
 from mvsc.metrics import compute_metrics
 from mvsc.prox_ops import BLAS_THREAD_VARIABLES, SymmetricEigh, partial_k
 from mvsc.solver import (
+    GRAPH_WEIGHT_BETA,
     RECON_WEIGHT_ALPHA,
+    SETTLED_SIN_TAU,
     ClusteringResult,
     SolverConfig,
     SolverState,
@@ -28,6 +32,7 @@ from mvsc.solver import (
     solve,
     step_mu,
     submit_q,
+    subspace_sin,
     submit_u,
     update_a,
     update_e,
@@ -44,6 +49,7 @@ from conftest import make_random_dataset, make_random_state
 from oracles import (
     augmented_lagrangian,
     project_l1_ball,
+    random_orthonormal,
     simplex_qp_enumerate,
     spectral_norm_via_gram,
 )
@@ -63,12 +69,31 @@ N300_SPEC = SynthSpec(clusters=3, samples_per_cluster=100, view_dims=(10, 10, 10
                       noise_feature_counts=(0, 20, 0), seed=1)
 
 
-def with_weights(state: SolverState, dataset: MultiViewDataset, kappa) -> SolverState:
+def with_weights(state: SolverState, dataset: MultiViewDataset, kappa,
+                 beta: float = 1.0) -> SolverState:
     """``state`` switched to the reconstruction weights ``kappa``, one per view,
-    with the Z-step factors at them."""
+    and the Z = A weight ``beta``, with the Z-step factors at them."""
     state.kappa = [float(k) for k in kappa]
-    state.z_factor = z_step_factors(dataset, state.kappa)
+    state.beta = float(beta)
+    state.z_factor = z_step_factors(dataset, state.kappa, state.beta)
     return state
+
+
+# sets that several tests solve at the default config: (spec, max_iter)
+SOLVED_SETS = {
+    "n300": (N300_SPEC, 100),
+    "criterion_5": (SynthSpec(3, 30, (10, 10, 10), seed=1), 200),
+    "n6": (SynthSpec(clusters=3, samples_per_cluster=2, view_dims=(4, 5), seed=3), 200),
+}
+
+
+@functools.cache
+def solved(name: str) -> tuple[MultiViewDataset, ClusteringResult]:
+    """The ``unit_l2_per_sample`` dataset of ``SOLVED_SETS[name]`` and its solve at
+    the default config, run once per test run."""
+    spec, max_iter = SOLVED_SETS[name]
+    ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+    return ds, solve(ds, SolverConfig(n_clusters=spec.clusters, max_iter=max_iter))
 
 
 def scaled(dataset: MultiViewDataset, factor: float) -> MultiViewDataset:
@@ -407,6 +432,21 @@ class TestUpdateZ:
             want = np.linalg.solve(kappa * X.T @ X + 2 * np.eye(9), rhs)
             assert np.linalg.norm(update_z(state, ds, 0) - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("beta", [0.3, 1.5, 4.0])
+    def test_beta_weighted_normal_equations(self, beta, rng):
+        # Z = A at penalty beta mu: (kappa X^T X + (1 + beta) I) Z
+        # = X^T (kappa (X - E) + Lam1/mu) + U - Lam2/mu + beta A - Lam3/mu
+        for d in (4, 9, 15):
+            ds = make_random_dataset(9, (d,), rng)
+            state = make_random_state(ds, SolverConfig(n_clusters=2, k_init=2), rng)
+            with_weights(state, ds, [0.7], beta)
+            X, mu = ds.views[0].values, state.mu
+            rhs = (X.T @ (0.7 * (X - state.E[0]) + state.Lam1[0] / mu)
+                   + state.U[0] - state.Lam2[0] / mu
+                   + beta * state.A[0] - state.Lam3[0] / mu)
+            want = np.linalg.solve(0.7 * X.T @ X + (1 + beta) * np.eye(9), rhs)
+            assert np.linalg.norm(update_z(state, ds, 0) - want) <= 1e-12 * np.linalg.norm(want)
+
 
 class TestUpdateA:
     def test_dominant_penalty_projects_h(self, rng):
@@ -448,6 +488,22 @@ class TestUpdateA:
             want = simplex_qp_enumerate(-D[i] / state.mu, i)
             assert np.abs(A[i] - want).max() <= 1e-7
 
+    @pytest.mark.parametrize("beta", [0.4, 1.5, 3.0])
+    def test_rows_match_qp_oracle_at_beta_mu(self, beta, rng):
+        # Z = A at penalty beta mu: row i minimizes <d_i - lam3_i, a> + (beta mu / 2)
+        # ||z_i - a||^2 on the simplex with a_i = 0
+        ds = make_random_dataset(6, (3,), rng)
+        cfg = SolverConfig(n_clusters=2, lambda1=0.7, k_init=2)
+        state = with_weights(make_random_state(ds, cfg, rng), ds, [1.0], beta)
+        A = update_a(state, ds, cfg, 0)
+        from mvsc.graph_ops import pairwise_sq_distances, weighted_sq_distances
+        D = weighted_sq_distances(ds.views[0].values, state.w[0])
+        D += cfg.lambda1 * pairwise_sq_distances(state.Q.T)
+        for i in range(6):
+            want = simplex_qp_enumerate(
+                state.Z[0][i] + (state.Lam3[0][i] - D[i]) / (beta * state.mu), i)
+            assert np.abs(A[i] - want).max() <= 1e-7
+
     def test_invariants_hold(self, small_problem):
         ds, cfg, state = small_problem
         A = update_a(state, ds, cfg, 0)
@@ -482,6 +538,42 @@ class TestUpdateQ:
         assert eigenvalue_sum == pytest.approx(np.trace(Q.T @ M @ Q), abs=1e-8)
         assert eigenvalue_sum == pytest.approx(want, abs=1e-8)
         assert np.linalg.norm(Q.T @ Q - np.eye(cfg.n_clusters)) <= 1e-9
+
+
+class TestSubspaceSin:
+    @pytest.mark.parametrize("n, c", [(6, 2), (30, 3), (90, 5)])
+    def test_matches_the_largest_principal_angle(self, n, c, rng):
+        P = random_orthonormal(n, c, rng)
+        for scale in (1.0, 1e-2, 1e-4):
+            Q = np.linalg.qr(P + scale * rng.standard_normal((n, c)))[0]
+            want = np.sin(scipy.linalg.subspace_angles(P, Q).max())
+            assert subspace_sin(P, Q) == pytest.approx(want, rel=1e-6)
+
+    def test_depends_only_on_the_spans(self, rng):
+        P = random_orthonormal(20, 3, rng)
+        rotation = random_orthonormal(3, 3, rng)
+        assert subspace_sin(P, P @ rotation) <= 1e-7
+        Q = random_orthonormal(20, 3, rng)
+        assert subspace_sin(P, Q) == pytest.approx(subspace_sin(Q @ rotation, -P[:, ::-1]),
+                                                   rel=1e-12)
+
+    def test_trace_compares_consecutive_embeddings(self, monkeypatch):
+        # row t holds the sine between the embeddings of iterations t - 1 and t,
+        # row 0 against initialize's
+        embeddings, real_update_q = [], mvsc.solver.update_q
+
+        def recorded(decomposition):
+            Q, eigenvalue_sum = real_update_q(decomposition)
+            embeddings.append(Q)
+            return Q, eigenvalue_sum
+
+        monkeypatch.setattr(mvsc.solver, "update_q", recorded)
+        spec = SynthSpec(clusters=3, samples_per_cluster=10, view_dims=(4, 5), seed=3)
+        result = solve(normalize(generate_synthetic(spec), "unit_l2_per_sample"),
+                       SolverConfig(n_clusters=3, max_iter=12))
+        assert len(embeddings) == result.iterations + 1 == 13
+        want = [subspace_sin(P, Q) for P, Q in zip(embeddings, embeddings[1:])]
+        assert np.array_equal(result.trace.q_sin, want)
 
 
 class TestUpdateU:
@@ -759,20 +851,36 @@ class TestMultipliersAndMu:
             assert lam[0] is other and np.array_equal(other, before)
 
     def test_weighted_reconstruction_step(self, rng):
-        # Lam1 steps by kappa mu times the gap, Lam2 and Lam3 by mu; the
-        # returned gaps are the unscaled max-abs entries
+        # Lam1 steps by kappa mu times the gap, Lam2 by mu and Lam3 by beta mu;
+        # the returned gaps are the unscaled max-abs entries
         ds = make_random_dataset(7, (3, 4), rng)
         state = make_random_state(ds, SolverConfig(n_clusters=2, k_init=2), rng)
-        with_weights(state, ds, [0.2, 3.0])
+        with_weights(state, ds, [0.2, 3.0], 1.5)
         X, mu, kappa = ds.views[1].values, state.mu, state.kappa[1]
         Z, U, A = state.Z[1], state.U[1], state.A[1]
         recon_gap = X - X @ Z - state.E[1]
         want = [state.Lam1[1] + (kappa * mu) * recon_gap,
-                state.Lam2[1] + mu * (Z - U), state.Lam3[1] + mu * (Z - A)]
+                state.Lam2[1] + mu * (Z - U), state.Lam3[1] + (1.5 * mu) * (Z - A)]
         norms = (np.abs(recon_gap).max(), np.abs(Z - U).max(), np.abs(Z - A).max())
         assert update_multipliers(state, 1, recon_gap.copy()) == norms
         for lam, expected in zip((state.Lam1, state.Lam2, state.Lam3), want):
             assert np.array_equal(lam[1], expected)
+
+    def test_rho_squared_only_once_settled_with_the_reconstruction_gap_largest(self):
+        cfg = SolverConfig(n_clusters=2, rho=1.2, mu_max=1e6)
+        state = SolverState(Z=[], A=[], U=[], E=[], Lam1=[], Lam2=[], Lam3=[],
+                            w=[], Q=np.zeros((2, 2)), mu=10.0)
+        settled, moving = 0.5 * SETTLED_SIN_TAU, 2.0 * SETTLED_SIN_TAU
+        recon_largest = (3e-3, 1e-3, 2e-3)
+        assert step_mu(state, cfg, settled, recon_largest) == pytest.approx(14.4, rel=1e-15)
+        for q_sin, gaps in [(settled, (1e-3, 3e-3, 2e-3)), (settled, (1e-3, 2e-3, 3e-3)),
+                            (moving, recon_largest), (SETTLED_SIN_TAU, recon_largest),
+                            (np.inf, recon_largest)]:
+            assert step_mu(state, cfg, q_sin, gaps) == pytest.approx(12.0, rel=1e-15)
+        assert step_mu(state, cfg) == pytest.approx(12.0, rel=1e-15)
+        state.mu = 8e5  # rho^2 mu = 1.152e6 and rho mu = 9.6e5: only the first is capped
+        assert step_mu(state, cfg, settled, recon_largest) == 1e6
+        assert step_mu(state, cfg, moving, recon_largest) == pytest.approx(9.6e5, rel=1e-15)
 
     def test_mu_schedule(self):
         cfg = SolverConfig(n_clusters=2, mu0=1e-3, rho=1.1, mu_max=1e6)
@@ -865,45 +973,46 @@ def apply_block(block, state, dataset, config):
             state.w[v], _ = update_w(state, dataset, config, v)
 
 
+def assert_blocks_never_increase_lagrangian(block, rng, weigh=lambda state, dataset: None):
+    """Over 10 random problems, ``block`` applied once does not increase the
+    augmented Lagrangian of the state that ``weigh`` sets the penalty weights of."""
+    for trial in range(10):
+        dataset = make_random_dataset(10, (4, 5), rng)
+        config = SolverConfig(
+            n_clusters=2,
+            lambda1=float(rng.uniform(0, 1)),
+            lambda2=float(rng.uniform(0, 1)),
+            lambda3=float(rng.uniform(0, 1)),
+            k_init=3,
+        )
+        state = make_random_state(dataset, config, rng)
+        weigh(state, dataset)
+        before = augmented_lagrangian(state, dataset, config)
+        mutated = copy.deepcopy(state)
+        apply_block(block, mutated, dataset, config)
+        after = augmented_lagrangian(mutated, dataset, config)
+        assert after <= before + 1e-8 * max(1.0, abs(before))
+
+
 class TestBlockMonotonicity:
     @pytest.mark.parametrize("block", BLOCKS)
     def test_isolated_update_never_increases_lagrangian(self, block, rng):
-        for trial in range(10):
-            dataset = make_random_dataset(10, (4, 5), rng)
-            config = SolverConfig(
-                n_clusters=2,
-                lambda1=float(rng.uniform(0, 1)),
-                lambda2=float(rng.uniform(0, 1)),
-                lambda3=float(rng.uniform(0, 1)),
-                k_init=3,
-            )
-            state = make_random_state(dataset, config, rng)
-            before = augmented_lagrangian(state, dataset, config)
-            mutated = copy.deepcopy(state)
-            apply_block(block, mutated, dataset, config)
-            after = augmented_lagrangian(mutated, dataset, config)
-            assert after <= before + 1e-8 * max(1.0, abs(before))
+        assert_blocks_never_increase_lagrangian(block, rng)
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_isolated_update_never_increases_weighted_lagrangian(self, block, rng):
         # the same check with each view's reconstruction constraint at penalty
         # kappa mu, kappa log-uniform in [0.05, 20]
-        for trial in range(10):
-            dataset = make_random_dataset(10, (4, 5), rng)
-            config = SolverConfig(
-                n_clusters=2,
-                lambda1=float(rng.uniform(0, 1)),
-                lambda2=float(rng.uniform(0, 1)),
-                lambda3=float(rng.uniform(0, 1)),
-                k_init=3,
-            )
-            state = make_random_state(dataset, config, rng)
-            with_weights(state, dataset, np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=2)))
-            before = augmented_lagrangian(state, dataset, config)
-            mutated = copy.deepcopy(state)
-            apply_block(block, mutated, dataset, config)
-            after = augmented_lagrangian(mutated, dataset, config)
-            assert after <= before + 1e-8 * max(1.0, abs(before))
+        assert_blocks_never_increase_lagrangian(block, rng, lambda state, dataset: with_weights(
+            state, dataset, np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=2))))
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_isolated_update_never_increases_beta_weighted_lagrangian(self, block, rng):
+        # the same check with Z = A at penalty beta mu, beta log-uniform in [0.2, 5],
+        # beside kappa as above
+        assert_blocks_never_increase_lagrangian(block, rng, lambda state, dataset: with_weights(
+            state, dataset, np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=2)),
+            np.exp(rng.uniform(np.log(0.2), np.log(5.0)))))
 
 
 class TestReconstructionWeight:
@@ -918,15 +1027,15 @@ class TestReconstructionWeight:
     def test_initialize_weights_the_z_step(self, rng):
         ds = make_random_dataset(10, (4, 12), rng)
         state = initialize(ds, SolverConfig(n_clusters=2, k_init=3))
-        assert state.kappa == reconstruction_weights(ds)
-        for got, want in zip(state.z_factor, z_step_factors(ds, state.kappa)):
+        assert state.kappa == reconstruction_weights(ds) and state.beta == GRAPH_WEIGHT_BETA
+        for got, want in zip(state.z_factor, z_step_factors(ds, state.kappa, state.beta)):
             assert np.array_equal(got, want)
 
     def test_a_state_without_weights_is_unweighted(self, rng):
         ds = make_random_dataset(6, (4, 7), rng)
         state = make_random_state(ds, SolverConfig(n_clusters=2, k_init=2), rng)
-        assert state.kappa == [1.0, 1.0]
-        for got, want in zip(z_step_factors(ds), z_step_factors(ds, [1.0, 1.0])):
+        assert state.kappa == [1.0, 1.0] and state.beta == 1.0
+        for got, want in zip(z_step_factors(ds), z_step_factors(ds, [1.0, 1.0], 1.0)):
             assert np.array_equal(got, want)
 
     def test_zero_view_gets_a_fixed_positive_weight(self, rng):
@@ -939,10 +1048,10 @@ class TestReconstructionWeight:
         assert not state.z_factor[0].any()
 
     def test_n300_set_converges_within_90_iterations(self):
-        # the benchmark's n = 300 data: 80 iterations, against 113 with every
-        # view's reconstruction constraint at penalty mu
-        ds = normalize(generate_synthetic(N300_SPEC), "unit_l2_per_sample")
-        result = solve(ds, SolverConfig(n_clusters=3, max_iter=100))
+        # the benchmark's n = 300 data: 72 iterations (80 before the penalty
+        # step), against 113 with every view's reconstruction constraint at
+        # penalty mu
+        ds, result = solved("n300")
         assert result.converged and result.iterations <= 90
         assert compute_metrics(ds.labels, result.labels).acc == 1.0
 
@@ -984,11 +1093,9 @@ class TestSolve:
     def test_degenerate_tiny_set_converges(self):
         # two samples per cluster: the run must still stop with every label
         # right. Its two full-range dsyevr reruns are U-step top-1 calls that
-        # the clip test rejected; from a penalty start of mu0 = 0.45 on, the run
+        # the clip test rejected; from a penalty start of mu0 = 0.35 on, the run
         # loses one label here
-        spec = SynthSpec(clusters=3, samples_per_cluster=2, view_dims=(4, 5), seed=3)
-        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
-        result = solve(ds, SolverConfig(n_clusters=3))
+        ds, result = solved("n6")
         assert result.converged and compute_metrics(ds.labels, result.labels).acc == 1.0
 
     def test_trace_csv_round_trips(self, tmp_path):
@@ -998,12 +1105,13 @@ class TestSolve:
         path = tmp_path / "trace.csv"
         result.trace.write_csv(path)
         with open(path, encoding="utf-8") as fh:
-            assert fh.readline() == "iteration,objective,r_recon,r_u,r_a,mu\n"
+            assert fh.readline() == "iteration,objective,r_recon,r_u,r_a,mu,q_sin\n"
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        assert table.shape[0] == result.iterations
+        assert table.shape == (result.iterations, 7)
         assert np.array_equal(table[:, 0], np.arange(result.iterations))
         tr = result.trace
-        for column, values in zip(table[:, 1:].T, (tr.objective, tr.r_recon, tr.r_u, tr.r_a, tr.mu)):
+        for column, values in zip(table[:, 1:].T,
+                                  (tr.objective, tr.r_recon, tr.r_u, tr.r_a, tr.mu, tr.q_sin)):
             assert np.array_equal(column, values)
 
     def test_zero_lambdas_drive_feasibility(self, rng):
@@ -1203,10 +1311,8 @@ def same_bits(got: ClusteringResult, want: ClusteringResult) -> bool:
 class TestPenaltyStart:
     def test_criterion_5_set_stops_within_80_iterations(self):
         # the start mu0 sets how many growth steps the penalty needs before the
-        # gaps close: this set takes 77 iterations from 0.3 and 94 from 1e-2
-        spec = SynthSpec(3, 30, (10, 10, 10), seed=1)
-        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
-        result = solve(ds, SolverConfig(n_clusters=3))
+        # gaps close: this set takes 62 iterations from 0.3 and 81 from 1e-2
+        ds, result = solved("criterion_5")
         assert result.converged and result.iterations <= 80
         assert compute_metrics(ds.labels, result.labels).acc == 1.0
 
@@ -1214,7 +1320,7 @@ class TestPenaltyStart:
     def test_overlapping_clusters_keep_most_of_the_knn_start(self, seed):
         # five clusters 2 standard deviations apart, 40 noise features on view 2:
         # k-means on the kNN start reads ACC 0.813-0.840 here; from mu0 = 1e-2
-        # the full model ends at 0.587-0.787, from the default at 0.807-0.860
+        # the full model ends at 0.587-0.793, from the default at 0.800-0.867
         spec = SynthSpec(clusters=5, samples_per_cluster=30, view_dims=(10, 10, 10),
                          between_cluster_separation=2.0, noise_feature_counts=(0, 40, 0),
                          seed=seed)
@@ -1226,37 +1332,141 @@ class TestPenaltyStart:
 class TestPenaltyCap:
     def test_readme_names_the_first_iteration_past_the_old_cap(self):
         # README's "Penalty cap" paragraph gives the iteration in which the
-        # default penalty first passes 1e6, derived here from the defaults
-        defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
-        mu, iteration = defaults["mu0"], 1
-        while mu <= 1e6:
-            mu, iteration = min(defaults["rho"] * mu, defaults["mu_max"]), iteration + 1
+        # default penalty, grown by rho alone, first passes 1e6, and says each
+        # rho^2 step brings it one iteration sooner; both derived here from the
+        # defaults and step_mu
+        cfg = SolverConfig(n_clusters=2)
+        state = SolverState(Z=[], A=[], U=[], E=[], Lam1=[], Lam2=[], Lam3=[],
+                            w=[], Q=np.zeros((2, 2)), mu=cfg.mu0)
+
+        def first_past_1e6(squared: set[int]) -> int:
+            state.mu, iteration = cfg.mu0, 1
+            while state.mu <= 1e6:
+                q_sin = 0.0 if iteration in squared else np.inf
+                state.mu, iteration = step_mu(state, cfg, q_sin, (1.0, 0.0, 0.0)), iteration + 1
+            return iteration
+
+        iteration = first_past_1e6(set())
+        for squared in ({1}, {5, 40}, set(range(10, 30))):
+            assert first_past_1e6(squared) == iteration - len(squared)
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        stated = re.search(r"penalty first passes 1e6 in iteration (\d+), so a run that stops "
-                           r"within (\d+) iterations", " ".join(readme.split()))
+        stated = re.search(r"penalty first passes 1e6 in iteration (\d+), and each `rho\^2` step "
+                           r"brings that one iteration sooner; so a run that stops within (\d+) "
+                           r"iterations, counting each `rho\^2` step as one more, is the same at "
+                           r"either cap", " ".join(readme.split()))
         assert stated and stated.groups() == (str(iteration), str(iteration - 1))
 
-    def test_n450_set_stops_sooner_than_at_the_old_cap(self):
-        # the default cap lets mu grow past 1e6, where this set's Z = A gap
-        # closes slowly: it stops in 93 iterations at 1e8 and 117 at 1e6 (the
-        # n = 300 set of the same kind now stops before mu reaches 1e6)
-        spec = SynthSpec(clusters=3, samples_per_cluster=150, view_dims=(10, 10, 10),
+    def test_raw_noisy_set_stops_only_past_the_old_cap(self):
+        # the default cap lets mu grow past 1e6, where this set's gaps still
+        # close: it stops in 78 iterations at 1e8 and runs all 200 at 1e6 (the
+        # n = 300 and 450 blob sets now stop before mu reaches 1e6)
+        spec = SynthSpec(clusters=3, samples_per_cluster=30, view_dims=(10, 10, 10),
                          noise_feature_counts=(0, 20, 0), seed=1)
-        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
-        result = solve(ds, SolverConfig(n_clusters=3, max_iter=110))
-        assert result.converged and result.iterations <= 105
+        ds = generate_synthetic(spec)
+        result = solve(ds, SolverConfig(n_clusters=3, max_iter=120))
+        assert result.converged and result.iterations <= 90 and result.trace.mu.max() > 1e6
         assert compute_metrics(ds.labels, result.labels).acc == 1.0
+        assert not solve(ds, SolverConfig(n_clusters=3, max_iter=120, mu_max=1e6)).converged
 
     @pytest.mark.parametrize("mode", ["full", "uniform_weights", "no_spectral_norm"])
     def test_runs_that_stop_below_the_old_cap_keep_their_bits(self, mode):
-        # the acceptance noisy set converges within 83 iterations, before mu
-        # passes 1e6, so a cap of 1e6 and the default give the same run
+        # the acceptance noisy set converges before mu passes 1e6 (in 62
+        # iterations, 16 of them rho^2 steps, in full mode), so a cap of 1e6
+        # and the default give the same run
         spec = SynthSpec(clusters=3, samples_per_cluster=30, view_dims=(10, 10, 10),
                          noise_feature_counts=(0, 20, 0), seed=1)
         ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
         default = solve(ds, SolverConfig(n_clusters=3, ablation=mode))
         assert default.converged and default.trace.mu.max() < 1e6
         assert same_bits(default, solve(ds, SolverConfig(n_clusters=3, ablation=mode, mu_max=1e6)))
+
+
+def update_z_at_unit_beta(state, dataset, view):
+    """update_z as it was written before the Z = A weight."""
+    X = dataset.views[view].values
+    W, mu = state.z_factor[view], state.mu
+    rhs = X.T @ (state.kappa[view] * (X - state.E[view]) + state.Lam1[view] / mu)
+    rhs += state.U[view]
+    rhs += state.A[view]
+    rhs -= (state.Lam2[view] + state.Lam3[view]) / mu
+    rhs -= W @ (W.T @ rhs)
+    rhs *= 0.5
+    return rhs
+
+
+def update_a_at_unit_beta(state, dataset, config, view):
+    """update_a as it was written before the Z = A weight."""
+    X, Q = dataset.views[view].values, state.Q
+    weights = np.concatenate([state.w[view], np.full(Q.shape[1], np.sqrt(config.lambda1))])
+    D = mvsc.solver.weighted_sq_distances(np.vstack([X, Q.T]), weights)
+    np.subtract(state.Lam3[view], D, out=D)
+    D /= state.mu
+    D += state.Z[view]
+    return mvsc.solver._project_rows_simplex_zero_diag(D)
+
+
+def update_multipliers_at_unit_beta(state, view, recon_gap):
+    """update_multipliers as it was written before the Z = A weight."""
+    Z, mu = state.Z[view], state.mu
+
+    def step(lam, gap, size):
+        norm = float(max(abs(gap.max()), abs(gap.min())))
+        gap *= size
+        lam += gap
+        return norm
+
+    return (step(state.Lam1[view], recon_gap, state.kappa[view] * mu),
+            step(state.Lam2[view], Z - state.U[view], mu),
+            step(state.Lam3[view], Z - state.A[view], mu))
+
+
+class TestPenaltyStep:
+    def test_n300_set_converges_within_75_iterations(self):
+        # 72 iterations; 80 with Z = A at penalty mu and growth by rho alone
+        ds, result = solved("n300")
+        assert result.converged and result.iterations <= 75
+        assert compute_metrics(ds.labels, result.labels).acc == 1.0
+
+    def test_criterion_5_set_stops_within_66_iterations(self):
+        # 62 iterations; 77 with Z = A at penalty mu and growth by rho alone
+        ds, result = solved("criterion_5")
+        assert result.converged and result.iterations <= 66
+        assert compute_metrics(ds.labels, result.labels).acc == 1.0
+
+    @pytest.mark.parametrize("name", ["n6", "criterion_5"])
+    def test_penalty_grows_by_rho_until_the_embedding_settles(self, name):
+        _, result = solved(name)
+        tr, cfg = result.trace, SolverConfig(n_clusters=3)
+        first = int(np.flatnonzero(tr.q_sin < SETTLED_SIN_TAU)[0])
+        # the step after iteration t reads row t - 1's q_sin, the last that has
+        # landed, so mu grows by exactly rho up to row first + 1
+        assert 0 < first < len(tr) - 2
+        assert all(tr.mu[t + 1] == cfg.rho * tr.mu[t] for t in range(first + 1))
+        for t in range(len(tr) - 1):
+            settled = (t > 0 and tr.q_sin[t - 1] < SETTLED_SIN_TAU
+                       and tr.r_recon[t] >= max(tr.r_u[t], tr.r_a[t]))
+            rho = cfg.rho * cfg.rho if settled else cfg.rho
+            assert tr.mu[t + 1] == min(rho * tr.mu[t], cfg.mu_max)
+        assert np.any(tr.mu[first + 2:] > cfg.rho * tr.mu[first + 1:-1] * (1 + 1e-12))
+
+    def test_unit_beta_without_rho_squared_steps_keeps_the_unweighted_bits(self, monkeypatch):
+        # at beta = 1 and tau = 0 a solve has the bits of one whose Z-, A- and
+        # multiplier steps are written without beta and whose penalty grows by
+        # rho alone
+        spec = SynthSpec(clusters=3, samples_per_cluster=30, view_dims=(10, 10, 10),
+                         noise_feature_counts=(0, 20, 0), seed=1)
+        ds = normalize(generate_synthetic(spec), "unit_l2_per_sample")
+        cfg = SolverConfig(n_clusters=3)
+        monkeypatch.setattr(mvsc.solver, "GRAPH_WEIGHT_BETA", 1.0)
+        monkeypatch.setattr(mvsc.solver, "SETTLED_SIN_TAU", 0.0)
+        weighted = solve(ds, cfg)
+        monkeypatch.setattr(mvsc.solver, "update_z", update_z_at_unit_beta)
+        monkeypatch.setattr(mvsc.solver, "update_a", update_a_at_unit_beta)
+        monkeypatch.setattr(mvsc.solver, "update_multipliers", update_multipliers_at_unit_beta)
+        monkeypatch.setattr(mvsc.solver, "step_mu",
+                            lambda state, config, *_: min(config.rho * state.mu, config.mu_max))
+        unweighted = solve(ds, cfg)
+        assert weighted.converged and same_bits(weighted, unweighted)
 
 
 class TestBlasThreads:
