@@ -95,29 +95,31 @@ def _entropy(counts: np.ndarray, n: int) -> float:
 
 
 def nmi(truth, pred) -> float:
-    """Normalized mutual information between two labelings.
+    """Normalized mutual information between two labelings, in [0, 1].
 
-    Defined as 1 when both partitions are single-cluster and 0 when
-    exactly one of them is (the normalizer vanishes there).
+    Exactly 1 when the partitions agree up to relabeling (one nonzero per
+    row and per column of the contingency table), both single-cluster
+    included, and 0 when exactly one of them is single-cluster (the
+    normalizer vanishes there). Rounding cannot carry it above 1, as
+    I <= min(H_t, H_p) <= sqrt(H_t * H_p).
     """
     truth, pred = _check_labels(truth, pred, min_n=1)
     n = truth.size
     table = contingency_table(truth, pred)
+    nz = table > 0
+    if np.count_nonzero(nz) == table.shape[0] == table.shape[1]:
+        return 1.0
     a = table.sum(axis=1)
     b = table.sum(axis=0)
     h_t = _entropy(a, n)
     h_p = _entropy(b, n)
-    if h_t == 0.0 and h_p == 0.0:
-        return 1.0
     if h_t == 0.0 or h_p == 0.0:
         return 0.0
 
-    nz = table > 0
     nij = table[nz].astype(float)
     outer = np.outer(a, b)[nz].astype(float)
     mi = float((nij / n * (np.log(n * nij) - np.log(outer))).sum())
-    mi = max(mi, 0.0)
-    return mi / math.sqrt(h_t * h_p)
+    return min(max(mi, 0.0) / math.sqrt(h_t * h_p), 1.0)
 
 
 def _pair_counts(table: np.ndarray) -> tuple[float, float, float, float]:

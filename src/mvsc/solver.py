@@ -104,10 +104,9 @@ class SolverState:
     lifetime rule has dropped it. ``kappa`` holds each view's reconstruction
     weight (``reconstruction_weights``): the constraint X = XZ + E of view v
     carries the penalty kappa_v mu and its multiplier steps by kappa_v mu; likewise
-    Z = A carries ``beta`` mu, and Z = U carries mu. A state built without them
-    gets kappa = 1 per view and beta = 1, the unweighted augmented Lagrangian.
-    ``z_factor`` holds each view's Z-step factor (``z_step_factors``) at that
-    kappa and beta, which depends only on the data.
+    Z = A carries ``beta`` mu, and Z = U carries mu. ``z_factor`` holds each
+    view's Z-step factor (``z_step_factors``) at that kappa and beta, which
+    depends only on the data.
     ``clipped`` maps a view to how many singular values its last U-step prox
     clipped, the next prox's hint; a view has no entry before its first.
     """
@@ -122,14 +121,10 @@ class SolverState:
     w: list[np.ndarray]
     Q: np.ndarray
     mu: float
-    z_factor: list[np.ndarray] = field(default_factory=list, repr=False)
+    kappa: list[float]
+    beta: float
+    z_factor: list[np.ndarray] = field(repr=False)
     clipped: dict[int, int] = field(default_factory=dict)
-    kappa: list[float] = field(default_factory=list)
-    beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.kappa:
-            self.kappa = [1.0] * len(self.Z)
 
     @property
     def n_views(self) -> int:
@@ -202,11 +197,10 @@ def reconstruction_weights(dataset: MultiViewDataset) -> list[float]:
     return weights
 
 
-def z_step_factors(dataset: MultiViewDataset, kappa: list[float] | None = None,
-                   beta: float = 1.0) -> list[np.ndarray]:
+def z_step_factors(dataset: MultiViewDataset, kappa: list[float], beta: float) -> list[np.ndarray]:
     """The Z-step factor W = V diag(sqrt(k) s / sqrt(k s^2 + 1 + beta)) per view,
-    n x min(d, n), at the view's reconstruction weight k (1 without ``kappa``)
-    and the Z = A weight ``beta``.
+    n x min(d, n), at the view's reconstruction weight k in ``kappa`` and the
+    Z = A weight ``beta``.
 
     From the thin SVD X = P diag(s) V^T, k X^T X + (1 + beta) I has eigenvalue
     k s^2 + 1 + beta on V's columns and 1 + beta on their complement, so its
@@ -214,7 +208,7 @@ def z_step_factors(dataset: MultiViewDataset, kappa: list[float] | None = None,
     and a rank-deficient X only adds zero columns to W.
     """
     factors = []
-    for view, k in zip(dataset.views, kappa or [1.0] * len(dataset.views)):
+    for view, k in zip(dataset.views, kappa):
         _, s, Vt = np.linalg.svd(view.values, full_matrices=False)
         factors.append(Vt.T * (np.sqrt(k) * s / np.sqrt(k * s * s + (1.0 + beta))))
     return factors
@@ -296,14 +290,19 @@ def initialize(dataset: MultiViewDataset, config: SolverConfig) -> SolverState:
     E and multipliers, uniform feature weights, Q from the Laplacian of the
     summed graphs, each view's reconstruction weight, the Z = A weight
     ``GRAPH_WEIGHT_BETA``, and the Z-step factors at them.
-    Raises ValueError, before allocating any n x n matrix, when
+    Raises ValueError, before allocating any n x n matrix, when ``n_clusters``
+    exceeds the number of distinct samples (columns of the stacked views) or
     ``_dense_bytes`` exceeds ``_memory_budget()``.
     """
     n = dataset.n_samples
     if not 1 <= config.k_init <= n - 1:
         raise ValueError(f"k_init must be in [1, {n - 1}], got {config.k_init}")
-    if config.n_clusters > n:
-        raise ValueError(f"n_clusters {config.n_clusters} exceeds sample count {n}")
+    # + 0.0 turns -0.0 into 0.0, so equal samples have equal bytes
+    samples = (np.vstack([view.values for view in dataset.views]) + 0.0).T
+    distinct = len({sample.tobytes() for sample in samples})
+    if config.n_clusters > distinct:
+        raise ValueError(f"n_clusters {config.n_clusters} exceeds the number of distinct "
+                         f"samples, {distinct} of {n}")
     needed, budget = _dense_bytes(dataset), _memory_budget()
     if budget is not None and needed > budget:
         raise ValueError(f"n = {n} samples need {needed} bytes of dense solver state and "
@@ -493,16 +492,15 @@ def update_multipliers(state: SolverState, view: int,
             step(state.Lam3[view], Z - state.A[view], state.beta * mu))
 
 
-def step_mu(state: SolverState, config: SolverConfig, q_sin: float = np.inf,
-            gaps=(0.0, 0.0, 0.0)) -> float:
-    """The next penalty, min(rho^2 mu, mu_max) once the embedding has settled,
-    ``q_sin`` (``subspace_sin`` of the last two embeddings) below
+def step_mu(mu: float, config: SolverConfig, q_sin: float, gaps) -> float:
+    """The penalty after ``mu``: min(rho^2 mu, mu_max) once the embedding has
+    settled, ``q_sin`` (``subspace_sin`` of the last two embeddings) below
     ``SETTLED_SIN_TAU``, while the reconstruction gap is the largest of ``gaps``
-    (r_recon, r_u, r_a); min(rho mu, mu_max) otherwise, as without them."""
+    (r_recon, r_u, r_a); min(rho mu, mu_max) otherwise."""
     rho = config.rho
     if q_sin < SETTLED_SIN_TAU and gaps[0] >= max(gaps[1], gaps[2]):
         rho *= config.rho
-    return min(rho * state.mu, config.mu_max)
+    return min(rho * mu, config.mu_max)
 
 
 def evaluate_objective(state: SolverState, config: SolverConfig, view_terms: list[float],
@@ -600,7 +598,7 @@ def solve(dataset: MultiViewDataset, config: SolverConfig) -> ClusteringResult:
             if worst.max() < config.tol:
                 converged = True
                 break
-            state.mu = step_mu(state, config, q_sin, worst)
+            state.mu = step_mu(state.mu, config, q_sin, worst)
         if q_step is not None:
             close_iteration()
 

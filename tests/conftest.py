@@ -33,10 +33,13 @@ def fresh_python():
 
 
 def make_random_state(dataset: MultiViewDataset, config: SolverConfig,
-                      rng: np.random.Generator, mu: float | None = None) -> SolverState:
+                      rng: np.random.Generator, mu: float | None = None,
+                      kappa=None, beta: float = 1.0) -> SolverState:
     """A generic (not solver-produced) state satisfying the structural
     invariants: A row-stochastic with zero diagonal, w on the simplex, Q
-    orthonormal; everything else arbitrary."""
+    orthonormal; everything else arbitrary. Its penalty weights are the
+    reconstruction weights ``kappa``, one per view (1 each when None), and the
+    Z = A weight ``beta``, with the Z-step factors at them."""
     n = dataset.n_samples
     Z, A, U, E, L1, L2, L3, w = [], [], [], [], [], [], [], []
     for view in dataset.views:
@@ -52,8 +55,9 @@ def make_random_state(dataset: MultiViewDataset, config: SolverConfig,
         w.append(raw / raw.sum())
     Q = random_orthonormal(n, config.n_clusters, rng)
     mu = float(rng.uniform(0.05, 5.0)) if mu is None else mu
-    return SolverState(Z=Z, A=A, U=U, E=E, Lam1=L1, Lam2=L2, Lam3=L3,
-                       w=w, Q=Q, mu=mu, z_factor=z_step_factors(dataset))
+    kappa = [1.0] * dataset.n_views if kappa is None else list(kappa)
+    return SolverState(Z=Z, A=A, U=U, E=E, Lam1=L1, Lam2=L2, Lam3=L3, w=w, Q=Q, mu=mu,
+                       kappa=kappa, beta=beta, z_factor=z_step_factors(dataset, kappa, beta))
 
 
 def make_random_dataset(n: int, dims: tuple[int, ...], rng: np.random.Generator,

@@ -62,12 +62,10 @@ def augmented_lagrangian(state, dataset, config) -> float:
     plus <Lam, gap> + (p/2) ||gap||_F^2
     for the gaps X - XZ - E at p = kappa_v mu, Z - U at p = mu and Z - A at
     p = beta mu, with kappa_v the state's reconstruction weight of view v and
-    beta its Z = A weight (1 when the state has none). Distances are formed
-    from explicit pairwise differences. Every block update must not increase it."""
+    beta its Z = A weight. Distances are formed from explicit pairwise
+    differences. Every block update must not increase it."""
     Q = state.Q
     embed = ((Q[:, None, :] - Q[None, :, :]) ** 2).sum(axis=2)
-    kappa = getattr(state, "kappa", None) or [1.0] * len(dataset.views)
-    beta = getattr(state, "beta", 1.0)
     total = 0.0
     for v, view in enumerate(dataset.views):
         X, Z = view.values, state.Z[v]
@@ -76,12 +74,26 @@ def augmented_lagrangian(state, dataset, config) -> float:
         total += float((state.A[v] * (feature + config.lambda1 * embed)).sum())
         total += config.effective_lambda2 * float(np.linalg.norm(state.U[v], 2))
         total += config.lambda3 * float(np.abs(state.E[v]).sum())
-        for lam, gap, weight in ((state.Lam1[v], X - X @ Z - state.E[v], kappa[v]),
+        for lam, gap, weight in ((state.Lam1[v], X - X @ Z - state.E[v], state.kappa[v]),
                                  (state.Lam2[v], Z - state.U[v], 1.0),
-                                 (state.Lam3[v], Z - state.A[v], beta)):
+                                 (state.Lam3[v], Z - state.A[v], state.beta)):
             total += (float((lam * gap).sum())
                       + 0.5 * weight * state.mu * float((gap * gap).sum()))
     return total
+
+
+def z_step_system(state, dataset, view) -> tuple[np.ndarray, np.ndarray]:
+    """The Z-step's normal equation at ``state``'s penalty weights, as the matrix
+    kappa X^T X + (1 + beta) I and the right-hand side
+    X^T (kappa (X - E) + Lam1/mu) + U - Lam2/mu + beta A - Lam3/mu, each term
+    written out, with kappa the view's reconstruction weight and beta the
+    Z = A weight: setting the augmented Lagrangian's gradient in Z to zero."""
+    X, mu = dataset.views[view].values, state.mu
+    kappa, beta = state.kappa[view], state.beta
+    rhs = (X.T @ (kappa * (X - state.E[view]) + state.Lam1[view] / mu)
+           + state.U[view] - state.Lam2[view] / mu
+           + beta * state.A[view] - state.Lam3[view] / mu)
+    return kappa * X.T @ X + (1.0 + beta) * np.eye(X.shape[1]), rhs
 
 
 def pair_counts_loop(truth, pred) -> tuple[int, int, int]:

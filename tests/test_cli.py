@@ -222,6 +222,17 @@ class TestCluster:
         assert re.search(r"^error: .*view_2\.csv:3: column 1: non-finite value 'inf'$", err, re.M)
         assert not (tmp_path / "x.json").exists()
 
+    def test_clusters_above_distinct_samples_fail(self, tmp_path, capsys):
+        # 8 samples, each a copy of the first
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "view_1.csv").write_text("0.5,1,2\n" * 8)
+        assert run("cluster", data, "--clusters", 2, "--k-init", 2,
+                   "-o", tmp_path / "x.json") == 1
+        err = capsys.readouterr().err
+        assert err == "error: n_clusters 2 exceeds the number of distinct samples, 1 of 8\n"
+        assert not (tmp_path / "x.json").exists()
+
     def test_bad_data_dir_fails(self, tmp_path):
         assert run("cluster", tmp_path / "missing", "--clusters", 3,
                    "-o", tmp_path / "x.json") != 0

@@ -117,6 +117,18 @@ class TestNmi:
         pred = rng.integers(0, 4, size=1000)
         assert nmi(truth, pred) <= 0.05
 
+    def test_relabelings_read_exactly_one(self, rng):
+        # a relabeling of a partition is the same partition, whatever rounding
+        # the entropies carry; moving one sample to a new cluster may not read
+        # above 1 either
+        for _ in range(300):
+            truth = rng.integers(0, rng.integers(2, 9), size=rng.integers(2, 200))
+            values = rng.permutation(50)[:truth.max() + 1] - 10
+            assert nmi(truth, values[truth]) == 1.0
+            moved = values[truth]
+            moved[rng.integers(truth.size)] = 99
+            assert 0.0 <= nmi(truth, moved) <= 1.0
+
     def test_matches_direct_computation(self, rng):
         for _ in range(100):
             truth, pred = random_label_pair(rng)

@@ -52,6 +52,7 @@ from oracles import (
     random_orthonormal,
     simplex_qp_enumerate,
     spectral_norm_via_gram,
+    z_step_system,
 )
 
 
@@ -67,16 +68,6 @@ def small_problem(rng):
 # 30 (20 noise) and 10 features
 N300_SPEC = SynthSpec(clusters=3, samples_per_cluster=100, view_dims=(10, 10, 10),
                       noise_feature_counts=(0, 20, 0), seed=1)
-
-
-def with_weights(state: SolverState, dataset: MultiViewDataset, kappa,
-                 beta: float = 1.0) -> SolverState:
-    """``state`` switched to the reconstruction weights ``kappa``, one per view,
-    and the Z = A weight ``beta``, with the Z-step factors at them."""
-    state.kappa = [float(k) for k in kappa]
-    state.beta = float(beta)
-    state.z_factor = z_step_factors(dataset, state.kappa, state.beta)
-    return state
 
 
 # sets that several tests solve at the default config: (spec, max_iter)
@@ -199,6 +190,35 @@ class TestInitialize:
             initialize(ds, SolverConfig(n_clusters=2, k_init=5))
         with pytest.raises(ValueError):
             initialize(ds, SolverConfig(n_clusters=6, k_init=2))
+
+    @pytest.mark.parametrize("view", ["one_point", "zeros", "signed_zeros"])
+    def test_clusters_above_distinct_samples_fail_before_the_graphs(self, view, rng,
+                                                                   monkeypatch):
+        # 8 samples at one point: a random one, the origin, or the origin with
+        # some entries -0.0, which equals 0.0
+        X = {"one_point": np.tile(rng.standard_normal((3, 1)), 8), "zeros": np.zeros((3, 8)),
+             "signed_zeros": np.where(rng.random((3, 8)) < 0.5, -0.0, 0.0)}[view]
+        ds = MultiViewDataset(views=(ViewMatrix(X, 0),))
+
+        def no_graph(*_):
+            raise AssertionError("a graph was built for more clusters than distinct samples")
+
+        monkeypatch.setattr("mvsc.solver.knn_affinity", no_graph)
+        with pytest.raises(ValueError, match=r"^n_clusters 2 exceeds the number of distinct "
+                                             r"samples, 1 of 8$"):
+            initialize(ds, SolverConfig(n_clusters=2, k_init=2))
+
+    def test_samples_count_as_distinct_across_the_views(self, rng):
+        # 3 distinct columns of view 0 among 8, and view 1 tells two of its
+        # duplicates apart: 4 distinct samples
+        X = rng.standard_normal((3, 3))[:, [0, 1, 2, 0, 1, 2, 0, 1]]
+        Y = np.tile(rng.standard_normal((2, 1)), 8)
+        Y[:, 7] += 1.0
+        ds = MultiViewDataset(views=(ViewMatrix(X, 0), ViewMatrix(Y, 1)))
+        assert initialize(ds, SolverConfig(n_clusters=4, k_init=2)).Q.shape == (8, 4)
+        with pytest.raises(ValueError, match="n_clusters 5 exceeds the number of distinct "
+                                             "samples, 4 of 8"):
+            initialize(ds, SolverConfig(n_clusters=5, k_init=2))
 
     def test_dense_state_over_budget_fails_before_allocating(self, rng, monkeypatch):
         n = 10
@@ -346,6 +366,17 @@ class TestMemoryBudget:
         assert mvsc.solver._memory_budget() == 7000
 
 
+Z_CONFIG = SolverConfig(n_clusters=2, k_init=2)
+
+
+def assert_z_step_solves_its_normal_equation(dataset, state):
+    """update_z of every view against a direct solve of the Z-step's normal
+    equation at the state's penalty weights (``z_step_system``)."""
+    for v in range(dataset.n_views):
+        want = np.linalg.solve(*z_step_system(state, dataset, v))
+        assert np.linalg.norm(update_z(state, dataset, v) - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestUpdateZ:
     def test_zero_data_averages_pulls(self, rng):
         n = 6
@@ -374,16 +405,7 @@ class TestUpdateZ:
     def test_normal_equations_residual(self, rng):
         for _ in range(25):
             ds = make_random_dataset(6, (4,), rng)
-            cfg = SolverConfig(n_clusters=2, k_init=2)
-            state = make_random_state(ds, cfg, rng)
-            X = ds.views[0].values
-            mu = state.mu
-            Z = update_z(state, ds, 0)
-            rhs = (X.T @ (X - state.E[0] + state.Lam1[0] / mu)
-                   + state.U[0] - state.Lam2[0] / mu
-                   + state.A[0] - state.Lam3[0] / mu)
-            residual = np.linalg.norm((X.T @ X + 2 * np.eye(6)) @ Z - rhs)
-            assert residual <= 1e-10
+            assert_z_step_solves_its_normal_equation(ds, make_random_state(ds, Z_CONFIG, rng))
 
     @pytest.mark.parametrize("case", ["d<n", "d=n", "d>n", "repeated_rows", "zero_view"])
     def test_residual_and_factor_shape(self, case, rng):
@@ -395,57 +417,32 @@ class TestUpdateZ:
             X[4:] = X[:4]  # rank 4: every feature row appears twice
         elif case == "zero_view":
             X[:] = 0.0
-        state = make_random_state(ds, SolverConfig(n_clusters=2, k_init=2), rng)
+        state = make_random_state(ds, Z_CONFIG, rng)
         assert state.z_factor[0].shape == (n, min(d, n))
-        mu = state.mu
-        Z = update_z(state, ds, 0)
-        rhs = (X.T @ (X - state.E[0] + state.Lam1[0] / mu)
-               + state.U[0] - state.Lam2[0] / mu
-               + state.A[0] - state.Lam3[0] / mu)
-        assert np.linalg.norm((X.T @ X + 2 * np.eye(n)) @ Z - rhs) <= 1e-10
+        assert_z_step_solves_its_normal_equation(ds, state)
 
     def test_matches_explicit_inverse(self, rng):
         for dims in ((3, 12), (12,), (30,)):
             ds = make_random_dataset(12, dims, rng)
-            state = make_random_state(ds, SolverConfig(n_clusters=2, k_init=2), rng)
-            for v, view in enumerate(ds.views):
-                X = view.values
-                mu = state.mu
-                rhs = (X.T @ (X - state.E[v] + state.Lam1[v] / mu)
-                       + state.U[v] - state.Lam2[v] / mu
-                       + state.A[v] - state.Lam3[v] / mu)
-                want = np.linalg.inv(X.T @ X + 2 * np.eye(12)) @ rhs
+            state = make_random_state(ds, Z_CONFIG, rng)
+            for v in range(ds.n_views):
+                M, rhs = z_step_system(state, ds, v)
+                want = np.linalg.inv(M) @ rhs
                 assert np.linalg.norm(update_z(state, ds, v) - want) <= 1e-12 * np.linalg.norm(want)
-
 
     @pytest.mark.parametrize("kappa", [0.05, 0.5, 7.0])
     def test_weighted_normal_equations(self, kappa, rng):
-        # the reconstruction constraint at penalty kappa mu: (kappa X^T X + 2I) Z = R
         for d in (4, 9, 15):
             ds = make_random_dataset(9, (d,), rng)
-            state = make_random_state(ds, SolverConfig(n_clusters=2, k_init=2), rng)
-            with_weights(state, ds, [kappa])
-            X, mu = ds.views[0].values, state.mu
-            rhs = (X.T @ (kappa * (X - state.E[0]) + state.Lam1[0] / mu)
-                   + state.U[0] - state.Lam2[0] / mu
-                   + state.A[0] - state.Lam3[0] / mu)
-            want = np.linalg.solve(kappa * X.T @ X + 2 * np.eye(9), rhs)
-            assert np.linalg.norm(update_z(state, ds, 0) - want) <= 1e-12 * np.linalg.norm(want)
+            assert_z_step_solves_its_normal_equation(
+                ds, make_random_state(ds, Z_CONFIG, rng, kappa=[kappa]))
 
     @pytest.mark.parametrize("beta", [0.3, 1.5, 4.0])
     def test_beta_weighted_normal_equations(self, beta, rng):
-        # Z = A at penalty beta mu: (kappa X^T X + (1 + beta) I) Z
-        # = X^T (kappa (X - E) + Lam1/mu) + U - Lam2/mu + beta A - Lam3/mu
         for d in (4, 9, 15):
             ds = make_random_dataset(9, (d,), rng)
-            state = make_random_state(ds, SolverConfig(n_clusters=2, k_init=2), rng)
-            with_weights(state, ds, [0.7], beta)
-            X, mu = ds.views[0].values, state.mu
-            rhs = (X.T @ (0.7 * (X - state.E[0]) + state.Lam1[0] / mu)
-                   + state.U[0] - state.Lam2[0] / mu
-                   + beta * state.A[0] - state.Lam3[0] / mu)
-            want = np.linalg.solve(0.7 * X.T @ X + (1 + beta) * np.eye(9), rhs)
-            assert np.linalg.norm(update_z(state, ds, 0) - want) <= 1e-12 * np.linalg.norm(want)
+            assert_z_step_solves_its_normal_equation(
+                ds, make_random_state(ds, Z_CONFIG, rng, kappa=[0.7], beta=beta))
 
 
 class TestUpdateA:
@@ -475,26 +472,13 @@ class TestUpdateA:
         for j in range(2, 5):
             assert A[0, j] == pytest.approx(A[1, j], abs=1e-12)
 
-    def test_rows_match_qp_oracle(self, rng):
-        ds = make_random_dataset(6, (3,), rng)
-        cfg = SolverConfig(n_clusters=2, lambda1=0.7, k_init=2)
-        state = make_random_state(ds, cfg, rng)
-        A = update_a(state, ds, cfg, 0)
-        from mvsc.graph_ops import pairwise_sq_distances, weighted_sq_distances
-        D = weighted_sq_distances(ds.views[0].values, state.w[0])
-        D += cfg.lambda1 * pairwise_sq_distances(state.Q.T)
-        D -= state.mu * (state.Z[0] + state.Lam3[0] / state.mu)
-        for i in range(6):
-            want = simplex_qp_enumerate(-D[i] / state.mu, i)
-            assert np.abs(A[i] - want).max() <= 1e-7
-
-    @pytest.mark.parametrize("beta", [0.4, 1.5, 3.0])
+    @pytest.mark.parametrize("beta", [1.0, 0.4, 1.5, 3.0])
     def test_rows_match_qp_oracle_at_beta_mu(self, beta, rng):
         # Z = A at penalty beta mu: row i minimizes <d_i - lam3_i, a> + (beta mu / 2)
         # ||z_i - a||^2 on the simplex with a_i = 0
         ds = make_random_dataset(6, (3,), rng)
         cfg = SolverConfig(n_clusters=2, lambda1=0.7, k_init=2)
-        state = with_weights(make_random_state(ds, cfg, rng), ds, [1.0], beta)
+        state = make_random_state(ds, cfg, rng, beta=beta)
         A = update_a(state, ds, cfg, 0)
         from mvsc.graph_ops import pairwise_sq_distances, weighted_sq_distances
         D = weighted_sq_distances(ds.views[0].values, state.w[0])
@@ -697,22 +681,12 @@ class TestUpdateE:
         assert np.all(E == 0.0)
         assert np.array_equal(gap, X - X @ state.Z[0] - E)
 
-    def test_elementwise_shrinkage_law(self, small_problem):
-        ds, cfg, state = small_problem
-        X = ds.views[0].values
-        M = X - X @ state.Z[0] + state.Lam1[0] / state.mu
-        E, gap = update_e(state, ds, cfg, 0)
-        tau = cfg.lambda3 / state.mu
-        want = np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
-        assert np.array_equal(E, want)
-        assert np.array_equal(gap, X - X @ state.Z[0] - E)
-
-
-    def test_weighted_shrinkage_law(self, small_problem):
+    @pytest.mark.parametrize("kappa", [(1.0, 1.0), (0.3, 4.0)], ids=["unit", "weighted"])
+    def test_shrinkage_law(self, kappa, small_problem, rng):
         # at penalty kappa mu the residual is shifted by Lam1/(kappa mu) and
         # shrunk at lambda3/(kappa mu); the gap stays in data units
-        ds, cfg, state = small_problem
-        with_weights(state, ds, [0.3, 4.0])
+        ds, cfg, _ = small_problem
+        state = make_random_state(ds, cfg, rng, kappa=kappa)
         for v, view in enumerate(ds.views):
             X, kmu = view.values, state.kappa[v] * state.mu
             M = X - X @ state.Z[v] + state.Lam1[v] / kmu
@@ -830,69 +804,58 @@ class TestMultipliersAndMu:
         assert np.allclose(state.Lam2[0], 2.0, atol=1e-12)
         assert gaps == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
 
-    def test_steps_the_views_multipliers_in_place(self, rng):
+    @staticmethod
+    def assert_steps_in_place(rng, kappa, beta):
+        # Lam1 steps by kappa mu times the gap, Lam2 by mu and Lam3 by beta mu, each
+        # in place; the returned gaps are the unscaled max-abs entries, and the
+        # other view's multipliers stay as they were
         ds = make_random_dataset(7, (3, 4), rng)
-        cfg = SolverConfig(n_clusters=2, k_init=2)
-        state = make_random_state(ds, cfg, rng)
+        state = make_random_state(ds, SolverConfig(n_clusters=2, k_init=2), rng,
+                                  kappa=kappa, beta=beta)
         X, mu = ds.views[1].values, state.mu
-        recon_gap = X - X @ state.Z[1] - state.E[1]
+        Z, U, A = state.Z[1], state.U[1], state.A[1]
+        recon_gap = X - X @ Z - state.E[1]
         lams = [state.Lam1, state.Lam2, state.Lam3]
-        want = [lams[0][1].copy() + mu * recon_gap,
-                lams[1][1].copy() + mu * (state.Z[1].copy() - state.U[1].copy()),
-                lams[2][1].copy() + mu * (state.Z[1].copy() - state.A[1].copy())]
+        want = [lams[0][1] + (kappa[1] * mu) * recon_gap,
+                lams[1][1] + mu * (Z - U), lams[2][1] + (beta * mu) * (Z - A)]
+        norms = (np.abs(recon_gap).max(), np.abs(Z - U).max(), np.abs(Z - A).max())
         others = [lam[0] for lam in lams]
         others_before = [lam.copy() for lam in others]
-        lam2, lam3 = state.Lam2[1], state.Lam3[1]
-        update_multipliers(state, 1, recon_gap)
-        assert state.Lam2[1] is lam2 and state.Lam3[1] is lam3
-        for lam, expected in zip(lams, want):
-            assert np.array_equal(lam[1], expected)
+        in_place = [lam[1] for lam in lams]
+        assert update_multipliers(state, 1, recon_gap) == norms
+        for lam, before, expected in zip(lams, in_place, want):
+            assert lam[1] is before and np.array_equal(lam[1], expected)
         for lam, other, before in zip(lams, others, others_before):
             assert lam[0] is other and np.array_equal(other, before)
 
+    def test_steps_the_views_multipliers_in_place(self, rng):
+        self.assert_steps_in_place(rng, (1.0, 1.0), 1.0)
+
     def test_weighted_reconstruction_step(self, rng):
-        # Lam1 steps by kappa mu times the gap, Lam2 by mu and Lam3 by beta mu;
-        # the returned gaps are the unscaled max-abs entries
-        ds = make_random_dataset(7, (3, 4), rng)
-        state = make_random_state(ds, SolverConfig(n_clusters=2, k_init=2), rng)
-        with_weights(state, ds, [0.2, 3.0], 1.5)
-        X, mu, kappa = ds.views[1].values, state.mu, state.kappa[1]
-        Z, U, A = state.Z[1], state.U[1], state.A[1]
-        recon_gap = X - X @ Z - state.E[1]
-        want = [state.Lam1[1] + (kappa * mu) * recon_gap,
-                state.Lam2[1] + mu * (Z - U), state.Lam3[1] + (1.5 * mu) * (Z - A)]
-        norms = (np.abs(recon_gap).max(), np.abs(Z - U).max(), np.abs(Z - A).max())
-        assert update_multipliers(state, 1, recon_gap.copy()) == norms
-        for lam, expected in zip((state.Lam1, state.Lam2, state.Lam3), want):
-            assert np.array_equal(lam[1], expected)
+        self.assert_steps_in_place(rng, (0.2, 3.0), 1.5)
 
     def test_rho_squared_only_once_settled_with_the_reconstruction_gap_largest(self):
         cfg = SolverConfig(n_clusters=2, rho=1.2, mu_max=1e6)
-        state = SolverState(Z=[], A=[], U=[], E=[], Lam1=[], Lam2=[], Lam3=[],
-                            w=[], Q=np.zeros((2, 2)), mu=10.0)
         settled, moving = 0.5 * SETTLED_SIN_TAU, 2.0 * SETTLED_SIN_TAU
         recon_largest = (3e-3, 1e-3, 2e-3)
-        assert step_mu(state, cfg, settled, recon_largest) == pytest.approx(14.4, rel=1e-15)
+        assert step_mu(10.0, cfg, settled, recon_largest) == pytest.approx(14.4, rel=1e-15)
         for q_sin, gaps in [(settled, (1e-3, 3e-3, 2e-3)), (settled, (1e-3, 2e-3, 3e-3)),
                             (moving, recon_largest), (SETTLED_SIN_TAU, recon_largest),
                             (np.inf, recon_largest)]:
-            assert step_mu(state, cfg, q_sin, gaps) == pytest.approx(12.0, rel=1e-15)
-        assert step_mu(state, cfg) == pytest.approx(12.0, rel=1e-15)
-        state.mu = 8e5  # rho^2 mu = 1.152e6 and rho mu = 9.6e5: only the first is capped
-        assert step_mu(state, cfg, settled, recon_largest) == 1e6
-        assert step_mu(state, cfg, moving, recon_largest) == pytest.approx(9.6e5, rel=1e-15)
+            assert step_mu(10.0, cfg, q_sin, gaps) == pytest.approx(12.0, rel=1e-15)
+        # rho^2 mu = 1.152e6 and rho mu = 9.6e5: only the first is capped
+        assert step_mu(8e5, cfg, settled, recon_largest) == 1e6
+        assert step_mu(8e5, cfg, moving, recon_largest) == pytest.approx(9.6e5, rel=1e-15)
 
     def test_mu_schedule(self):
         cfg = SolverConfig(n_clusters=2, mu0=1e-3, rho=1.1, mu_max=1e6)
-        state = SolverState(Z=[], A=[], U=[], E=[], Lam1=[], Lam2=[], Lam3=[],
-                            w=[], Q=np.zeros((2, 2)), mu=1e-3)
-        assert step_mu(state, cfg) == pytest.approx(1.1e-3)
-        state.mu = 1e6
-        assert step_mu(state, cfg) == 1e6
-        state.mu = cfg.mu0
+        moving = (np.inf, (0.0, 0.0, 0.0))
+        assert step_mu(1e-3, cfg, *moving) == pytest.approx(1.1e-3)
+        assert step_mu(1e6, cfg, *moving) == 1e6
+        mu = cfg.mu0
         for k in range(1, 60):
-            state.mu = step_mu(state, cfg)
-            assert state.mu == pytest.approx(1e-3 * 1.1 ** k, rel=1e-14)
+            mu = step_mu(mu, cfg, *moving)
+            assert mu == pytest.approx(1e-3 * 1.1 ** k, rel=1e-14)
 
 
 def brute_force_objective(state, dataset, config):
@@ -973,9 +936,11 @@ def apply_block(block, state, dataset, config):
             state.w[v], _ = update_w(state, dataset, config, v)
 
 
-def assert_blocks_never_increase_lagrangian(block, rng, weigh=lambda state, dataset: None):
+def assert_blocks_never_increase_lagrangian(block, rng, weights: str):
     """Over 10 random problems, ``block`` applied once does not increase the
-    augmented Lagrangian of the state that ``weigh`` sets the penalty weights of."""
+    augmented Lagrangian, at the penalty weights that ``weights`` names: unit
+    ones, each view's reconstruction weight kappa log-uniform in [0.05, 20],
+    or that kappa and the Z = A weight beta log-uniform in [0.2, 5]."""
     for trial in range(10):
         dataset = make_random_dataset(10, (4, 5), rng)
         config = SolverConfig(
@@ -985,8 +950,9 @@ def assert_blocks_never_increase_lagrangian(block, rng, weigh=lambda state, data
             lambda3=float(rng.uniform(0, 1)),
             k_init=3,
         )
-        state = make_random_state(dataset, config, rng)
-        weigh(state, dataset)
+        kappa = None if weights == "unit" else np.exp(rng.uniform(np.log(0.05), np.log(20.0), 2))
+        beta = np.exp(rng.uniform(np.log(0.2), np.log(5.0))) if weights == "kappa_beta" else 1.0
+        state = make_random_state(dataset, config, rng, kappa=kappa, beta=beta)
         before = augmented_lagrangian(state, dataset, config)
         mutated = copy.deepcopy(state)
         apply_block(block, mutated, dataset, config)
@@ -997,22 +963,15 @@ def assert_blocks_never_increase_lagrangian(block, rng, weigh=lambda state, data
 class TestBlockMonotonicity:
     @pytest.mark.parametrize("block", BLOCKS)
     def test_isolated_update_never_increases_lagrangian(self, block, rng):
-        assert_blocks_never_increase_lagrangian(block, rng)
+        assert_blocks_never_increase_lagrangian(block, rng, "unit")
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_isolated_update_never_increases_weighted_lagrangian(self, block, rng):
-        # the same check with each view's reconstruction constraint at penalty
-        # kappa mu, kappa log-uniform in [0.05, 20]
-        assert_blocks_never_increase_lagrangian(block, rng, lambda state, dataset: with_weights(
-            state, dataset, np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=2))))
+        assert_blocks_never_increase_lagrangian(block, rng, "kappa")
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_isolated_update_never_increases_beta_weighted_lagrangian(self, block, rng):
-        # the same check with Z = A at penalty beta mu, beta log-uniform in [0.2, 5],
-        # beside kappa as above
-        assert_blocks_never_increase_lagrangian(block, rng, lambda state, dataset: with_weights(
-            state, dataset, np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=2)),
-            np.exp(rng.uniform(np.log(0.2), np.log(5.0)))))
+        assert_blocks_never_increase_lagrangian(block, rng, "kappa_beta")
 
 
 class TestReconstructionWeight:
@@ -1031,12 +990,14 @@ class TestReconstructionWeight:
         for got, want in zip(state.z_factor, z_step_factors(ds, state.kappa, state.beta)):
             assert np.array_equal(got, want)
 
-    def test_a_state_without_weights_is_unweighted(self, rng):
+    @pytest.mark.parametrize("weight", ["kappa", "beta", "z_factor"])
+    def test_a_state_needs_its_penalty_weights(self, weight, rng):
         ds = make_random_dataset(6, (4, 7), rng)
         state = make_random_state(ds, SolverConfig(n_clusters=2, k_init=2), rng)
-        assert state.kappa == [1.0, 1.0] and state.beta == 1.0
-        for got, want in zip(z_step_factors(ds), z_step_factors(ds, [1.0, 1.0], 1.0)):
-            assert np.array_equal(got, want)
+        given = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+        del given[weight]
+        with pytest.raises(TypeError, match=weight):
+            SolverState(**given)
 
     def test_zero_view_gets_a_fixed_positive_weight(self, rng):
         # no division by zero; with X = 0 kappa moves no block
@@ -1143,7 +1104,7 @@ class TestSolve:
                 assert abs(state.w[v].sum() - 1.0) <= 1e-12
             state.Q, _ = update_q(submit_q(state.A, state.Q.shape[1]))
             assert np.linalg.norm(state.Q.T @ state.Q - np.eye(2)) <= 1e-9
-            state.mu = step_mu(state, cfg)
+            state.mu = step_mu(state.mu, cfg, np.inf, (0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("mode", ["full", "uniform_weights", "no_spectral_norm"])
     def test_objective_matches_oracle_every_iteration(self, mode, monkeypatch):
@@ -1336,14 +1297,12 @@ class TestPenaltyCap:
         # rho^2 step brings it one iteration sooner; both derived here from the
         # defaults and step_mu
         cfg = SolverConfig(n_clusters=2)
-        state = SolverState(Z=[], A=[], U=[], E=[], Lam1=[], Lam2=[], Lam3=[],
-                            w=[], Q=np.zeros((2, 2)), mu=cfg.mu0)
 
         def first_past_1e6(squared: set[int]) -> int:
-            state.mu, iteration = cfg.mu0, 1
-            while state.mu <= 1e6:
+            mu, iteration = cfg.mu0, 1
+            while mu <= 1e6:
                 q_sin = 0.0 if iteration in squared else np.inf
-                state.mu, iteration = step_mu(state, cfg, q_sin, (1.0, 0.0, 0.0)), iteration + 1
+                mu, iteration = step_mu(mu, cfg, q_sin, (1.0, 0.0, 0.0)), iteration + 1
             return iteration
 
         iteration = first_past_1e6(set())
@@ -1464,7 +1423,7 @@ class TestPenaltyStep:
         monkeypatch.setattr(mvsc.solver, "update_a", update_a_at_unit_beta)
         monkeypatch.setattr(mvsc.solver, "update_multipliers", update_multipliers_at_unit_beta)
         monkeypatch.setattr(mvsc.solver, "step_mu",
-                            lambda state, config, *_: min(config.rho * state.mu, config.mu_max))
+                            lambda mu, config, *_: min(config.rho * mu, config.mu_max))
         unweighted = solve(ds, cfg)
         assert weighted.converged and same_bits(weighted, unweighted)
 
